@@ -2,7 +2,9 @@
 
 The backend is chosen at import time from the SCALEREG_NO_NUMBA
 environment flag, so each backend is timed in its own subprocess and the
-parent only assembles the comparison table:
+parent only assembles the comparison table.  The ``crossprod`` rows time
+the O(m*d) moment build of phi^T phi against the dense ``phi.T @ phi``
+on the same table:
 
     python3 benchmarks/bench_kernels.py
 """
@@ -16,6 +18,7 @@ import time
 
 TABLE_SIZES = [(1024, 128), (4096, 512), (16384, 1024)]
 CLENSHAW_SIZES = [(4096, 64), (4096, 512), (4096, 2048)]
+CROSSPROD_SIZES = [(4096, 256), (2048, 2000), (16384, 512)]
 REPEATS = 7
 
 
@@ -33,6 +36,7 @@ def run_worker():
 
     from scalereg import (backend_name, clenshaw_cosine, warmup,
                           weighted_cosine_table)
+    from scalereg.sampling import crossprod
 
     warmup()
     rng = np.random.Generator(np.random.Philox(0))
@@ -45,6 +49,13 @@ def run_worker():
         x, coef = rng.random(m), rng.standard_normal(d)
         rows.append({"kernel": "clenshaw_cosine", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: clenshaw_cosine(x, coef))})
+    for m, d in CROSSPROD_SIZES:
+        w = rng.random(d) + 0.5
+        phi = weighted_cosine_table(rng.random(m), w)
+        rows.append({"kernel": "crossprod", "shape": f"{m}x{d}",
+                     "seconds": _best_of(lambda: crossprod(phi, w))})
+        rows.append({"kernel": "phi.T @ phi", "shape": f"{m}x{d}",
+                     "seconds": _best_of(lambda: phi.T @ phi)})
     json.dump({"backend": backend_name(), "rows": rows}, sys.stdout)
 
 

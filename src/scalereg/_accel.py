@@ -48,14 +48,16 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 def _weighted_cosine_table_np(x, w):
+    # each column is filled as one contiguous row of a d-by-m buffer; the
+    # m-by-d result is its Fortran-ordered transpose
     m = x.shape[0]
     d = w.shape[0]
-    out = np.empty((m, d))
-    out[:, 0] = w[0]
+    out = np.empty((d, m))
+    out[0] = w[0]
     if d == 1:
-        return out
+        return out.T
     c = np.cos(np.pi * x)
-    out[:, 1] = w[1] * c
+    np.multiply(w[1], c, out=out[1])
     two_c = 2.0 * c
     # unweighted previous two columns of the recurrence, kept separately
     # so the weights never enter the recurrence itself
@@ -66,10 +68,10 @@ def _weighted_cosine_table_np(x, w):
             cur = np.cos((j * np.pi) * x)
         else:
             cur = two_c * prev1 - prev2
-        out[:, j] = w[j] * cur
+        np.multiply(w[j], cur, out=out[j])
         prev2 = prev1
         prev1 = cur
-    return out
+    return out.T
 
 
 def _clenshaw_cosine_np(x, c):
@@ -146,7 +148,8 @@ def weighted_cosine_table(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     This is the shared workhorse behind basis evaluation and design
     matrices; callers fold any per-column normalization (such as the
-    sqrt(2) of an orthonormal cosine basis) into ``w``.
+    sqrt(2) of an orthonormal cosine basis) into ``w``.  The numpy
+    backend returns the table in Fortran order (each column contiguous).
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)

@@ -30,8 +30,8 @@ from .effdim import effdim
 from .filters import FilterFamily, for_spectrum, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
-from .sampling import (Dataset, _clamped_eigh, _stream, crossprod,
-                       design_matrix, empirical_cov)
+from .sampling import (Dataset, _clamped_eigh, _design_weights, _stream,
+                       crossprod, design_matrix, empirical_cov)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
 
@@ -215,7 +215,7 @@ def _trial_values(problem: SpectralProblem, m: int, lam: float,
     t = problem.t
     x = _stream(trial_seed, 0).random(m)
     phi = design_matrix(problem, x)
-    tx = crossprod(phi) / m
+    tx = crossprod(phi, _design_weights(problem)) / m
     out = {}
     dev = np.diag(t) - tx
     if "TX_DEV" in tags:

@@ -110,7 +110,8 @@ def check_effdim_relation(problem: SpectralProblem, rho: IndexFunction,
     relative tolerance ``_TOP_RTOL`` (1e-12) are skipped with a warning;
     the tolerance absorbs rounding only.  On a flat L-spectrum
     (``a_link = 1/2``) every rescaled argument sits exactly at the top,
-    so every grid point counts.
+    so every grid point counts.  A grid whose every point is skipped has
+    checked nothing and does not pass.
     """
     lams = np.asarray(lambda_grid, dtype=np.float64)
     t = problem.t
@@ -128,5 +129,6 @@ def check_effdim_relation(problem: SpectralProblem, rho: IndexFunction,
     if skipped:
         warnings.warn(f"skipped {skipped} grid points whose rescaled "
                       f"argument exceeded the L-spectrum top {top:.3g}")
-    return {"max_ratio": max_ratio, "pass": max_ratio <= ceiling,
+    checked = skipped < lams.size
+    return {"max_ratio": max_ratio, "pass": checked and max_ratio <= ceiling,
             "n_skipped": skipped}

@@ -11,6 +11,15 @@ and maps back through the scale operator:
 
     u_hat = g_lambda(T_x) (1/m) Phi^T y,      f_hat_j = u_hat_j / l_j.
 
+T_x is not formed by a dense product.  The product-to-sum identity
+cos(j s) cos(k s) = [cos((j-k) s) + cos((j+k) s)] / 2 gives
+
+    Phi^T Phi = W [S(|j-k|) + S(j+k)] W / 2,   S(n) = sum_i cos(n pi x_i),
+
+a Toeplitz-plus-Hankel matrix between the diagonal column weights W,
+so it takes only the 2d-1 cosine moments S(0..2d-2), read off Phi in
+O(m*d) (see ``crossprod``).
+
 Randomness is counter-based (numpy Philox): a dataset's design points
 come from the stream keyed by (seed, 0) and its noise from (seed, 1),
 so identical (problem, m, seed, design) always reproduce the same data.
@@ -23,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import blas as _blas
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, hankel, toeplitz
 
 from . import _accel
 from .filters import FilterFamily, filter_values, for_spectrum
@@ -103,11 +112,15 @@ def _column_weights(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _design_weights(problem: SpectralProblem) -> np.ndarray:
+    # the column weights of design_matrix: Phi = C diag(w)
+    return _column_weights(problem.a / problem.l)
+
+
 def design_matrix(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     """m-by-d matrix of B_x in the basis: entries (a_j/l_j) e_j(x_i)."""
     x = np.asarray(x, dtype=np.float64)
-    return _accel.weighted_cosine_table(
-        x, _column_weights(problem.a / problem.l))
+    return _accel.weighted_cosine_table(x, _design_weights(problem))
 
 
 def design_matrix_a(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
@@ -116,22 +129,40 @@ def design_matrix_a(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     return _accel.weighted_cosine_table(x, _column_weights(problem.a))
 
 
-def crossprod(phi: np.ndarray) -> np.ndarray:
-    """phi^T phi through the symmetric rank-k BLAS update."""
-    upper = _blas.dsyrk(1.0, phi.T, trans=0, lower=0)
-    return upper + np.triu(upper, 1).T
+def crossprod(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """phi^T phi of a weighted cosine table phi = C diag(w), in O(m*d).
+
+    C[i, j] = cos(j pi x_i) and every w_j is nonzero.  By the
+    product-to-sum identity,
+
+        (phi^T phi)[j, k] = w_j w_k [S(|j-k|) + S(j+k)] / 2
+
+    with the cosine moments S(n) = sum_i cos(n pi x_i).  The column sums
+    of phi give S(0..d-1); its last column against all columns gives
+    (phi^T phi)[:, d-1] = w w_{d-1} [S(d-1..0) + S(d-1..2d-2)] / 2 and so
+    the high moments.  The result is exactly symmetric.
+    """
+    d = w.shape[0]
+    s = np.empty(2 * d - 1)
+    s[:d] = phi.sum(axis=0) / w
+    s[d - 1:] = 2.0 * (phi.T @ phi[:, d - 1]) / (w * w[d - 1]) - s[d - 1::-1]
+    out = toeplitz(s[:d])
+    out += hankel(s[:d], s[d - 1:])
+    out *= np.outer(w, 0.5 * w)
+    return out
 
 
 def gram(phi: np.ndarray) -> np.ndarray:
     """phi phi^T through the symmetric rank-k BLAS update."""
-    upper = _blas.dsyrk(1.0, phi.T, trans=1, lower=0)
+    upper = _blas.dsyrk(1.0, phi, trans=0, lower=0)
     return upper + np.triu(upper, 1).T
 
 
 def empirical_cov(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     """T_x = (1/m) Phi^T Phi (symmetric positive semidefinite)."""
     x = np.asarray(x, dtype=np.float64)
-    return crossprod(design_matrix(problem, x)) / x.size
+    return crossprod(design_matrix(problem, x),
+                     _design_weights(problem)) / x.size
 
 
 def _clamped_eigh(S: np.ndarray, kappa_sq: float):
@@ -172,26 +203,27 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     if dataset.x.size < 1:
         raise ValueError("empty dataset")
     m, d = dataset.m, problem.d
+    cw = _design_weights(problem)
     phi = design_matrix(problem, dataset.x)
     bvec = phi.T @ dataset.y / m
     work, c = for_spectrum(filt, problem.kappa_sq)
 
     if tikhonov_direct and filt.id == "tikhonov" and m >= d:
-        T = crossprod(phi) / m
+        T = crossprod(phi, cw) / m
         T[np.diag_indices_from(T)] += lam
         u = cho_solve(cho_factor(T, lower=False, check_finite=False),
                       bvec, check_finite=False)
     elif m >= d:
-        w, V = _clamped_eigh(crossprod(phi) / m, problem.kappa_sq)
-        g = filter_values(work, lam, w, prescale=c)
+        evals, V = _clamped_eigh(crossprod(phi, cw) / m, problem.kappa_sq)
+        g = filter_values(work, lam, evals, prescale=c)
         u = V @ (g * (V.T @ bvec))
     elif m * d <= _SVD_DIRECT_LIMIT:
         _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
         g = filter_values(work, lam, s * s, prescale=c)
         u = Wt.T @ (g * (Wt @ bvec))
     else:
-        w, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
-        g = filter_values(work, lam, w, prescale=c)
+        evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
+        g = filter_values(work, lam, evals, prescale=c)
         u = phi.T @ (U @ (g * (U.T @ dataset.y))) / m
     return Estimate(f_hat=u / problem.l, u_hat=u, lam=float(lam),
                     filter_id=filt.id, m=m)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 import scalereg
+from scalereg import _accel
 from scalereg import backend_name, clenshaw_cosine, weighted_cosine_table
 
 
@@ -29,6 +30,31 @@ def test_weighted_table_matches_direct_cos():
         want = _direct_table(x, w)
         err = np.abs(got - want).max()
         assert err <= 2e-12, f"table deviates by {err} at m={m}, d={d}"
+
+
+def test_numpy_table_equals_a_per_column_loop():
+    # the numpy backend fills a transposed buffer; its values must be
+    # exactly those of the column-by-column recurrence
+    rng = np.random.default_rng(4)
+    for m, d in [(1, 1), (9, 1), (9, 2), (31, 64), (31, 65), (200, 300)]:
+        x = rng.random(m)
+        w = rng.standard_normal(d)
+        want = np.empty((m, d))
+        want[:, 0] = w[0]
+        c = np.cos(np.pi * x)
+        prev2, prev1 = np.ones(m), c
+        if d > 1:
+            want[:, 1] = w[1] * c
+        for j in range(2, d):
+            if j % _accel._BLOCK < 2:
+                cur = np.cos((j * np.pi) * x)
+            else:
+                cur = 2.0 * c * prev1 - prev2
+            want[:, j] = w[j] * cur
+            prev2, prev1 = prev1, cur
+        got = _accel._weighted_cosine_table_np(x, w)
+        assert got.shape == (m, d)
+        assert np.array_equal(got, want)
 
 
 def test_table_blocked_recurrence_stays_accurate_at_large_d():

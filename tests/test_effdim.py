@@ -112,3 +112,15 @@ def test_effdim_relation_skips_arguments_above_the_top():
                                     np.logspace(-1, 1, 21))
     assert len(rec) == 1
     assert rep["n_skipped"] == 10
+
+
+def test_effdim_relation_fails_when_every_point_is_skipped():
+    # every lambda in [10, 100] rescales above the quarter-link top of 1.0,
+    # so the grid checks nothing and must not read as a pass
+    prob = build_power_problem(s=0.5, a_link=0.25, r=2.0, q=4.0,
+                               R_dagger=1.0, d=2000, sigma=0.05)
+    with pytest.warns(UserWarning, match="skipped 5 grid points"):
+        rep = check_effdim_relation(prob, power_fn(0.25),
+                                    np.logspace(1, 2, 5))
+    assert rep["n_skipped"] == 5
+    assert not rep["pass"]

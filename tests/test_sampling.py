@@ -13,7 +13,7 @@ from scalereg import (
     make_filter,
     sample_dataset,
 )
-from scalereg.sampling import _clamped_eigh, crossprod, gram
+from scalereg.sampling import _clamped_eigh, _design_weights, crossprod, gram
 
 
 def _problem(d=16, sigma=0.05, **kw):
@@ -67,10 +67,39 @@ def test_design_matrix_row_oracle():
 
 
 def test_crossprod_and_gram_match_dense_products():
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal((13, 7))
-    np.testing.assert_allclose(crossprod(phi), phi.T @ phi, atol=1e-12)
+    prob = _problem(d=7)
+    x = np.random.default_rng(2).random(13)
+    phi = design_matrix(prob, x)
+    np.testing.assert_allclose(crossprod(phi, _design_weights(prob)),
+                               phi.T @ phi, atol=1e-12)
     np.testing.assert_allclose(gram(phi), phi @ phi.T, atol=1e-12)
+
+
+def _moment_problem(d):
+    if d == 1:
+        from scalereg import SpectralProblem, gaussian_noise
+        return SpectralProblem(d=1, basis="cosine", a=np.array([0.7]),
+                               l=np.array([1.3]), f_true=np.array([1.0]),
+                               noise=gaussian_noise(0.0))
+    return _problem(d=d, sigma=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize("below", [True, False], ids=["m_below_d", "m_above_d"])
+def test_crossprod_from_moments_matches_direct_cos(d, below):
+    # at the endpoints x = 0 and x = 1 every cos(n pi x) is +-1, the
+    # largest term a moment S(n) can hold (d = 1 has no m below d)
+    m = max(d // 3, 1) if below else 4 * d + 3
+    prob = _moment_problem(d)
+    x = np.random.default_rng(d).random(m)
+    x[0], x[-1] = 0.0, 1.0
+    w = _design_weights(prob)
+    direct = np.cos(np.pi * np.outer(x, np.arange(d))) * w
+    want = direct.T @ direct
+    got = crossprod(design_matrix(prob, x), w)
+    assert np.array_equal(got, got.T)
+    rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert rel <= 1e-13, f"relative deviation {rel} at m={m}, d={d}"
 
 
 def test_midpoint_quadrature_diagonalizes_covariance():
