@@ -7,6 +7,9 @@ the O(m*d) moment build of phi^T phi against the dense ``phi.T @ phi``
 on the same table:
 
     python3 benchmarks/bench_kernels.py
+
+The workers import scalereg from this tree's ``src``, so no install is
+needed.
 """
 
 import argparse
@@ -15,7 +18,9 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 TABLE_SIZES = [(1024, 128), (4096, 512), (16384, 1024)]
 CLENSHAW_SIZES = [(4096, 64), (4096, 512), (4096, 2048)]
 CROSSPROD_SIZES = [(4096, 256), (2048, 2000), (16384, 512)]
@@ -60,9 +65,11 @@ def run_worker():
 
 
 def run_comparison():
+    inherited = os.environ.get("PYTHONPATH")
+    path = SRC + (os.pathsep + inherited if inherited else "")
     results = {}
     for flag in ("", "1"):
-        env = dict(os.environ, SCALEREG_NO_NUMBA=flag)
+        env = dict(os.environ, SCALEREG_NO_NUMBA=flag, PYTHONPATH=path)
         out = subprocess.run([sys.executable, __file__, "--worker"],
                              env=env, capture_output=True, text=True,
                              check=True)

@@ -35,8 +35,8 @@ from .model import (NoiseModel, SmoothnessSpec, SpectralProblem,
                     build_power_problem, eval_basis, forward_eval,
                     gaussian_noise, hilbert_scale_norm, problem_from_dict,
                     problem_to_dict)
-from .sampling import (Dataset, Estimate, design_matrix, design_matrix_a,
-                       empirical_cov, errors, estimate, sample_dataset)
+from .sampling import (Dataset, Estimate, design_matrix, empirical_cov,
+                       errors, estimate, sample_dataset)
 
 __version__ = "0.1.0"
 

@@ -139,11 +139,15 @@ def _xi_given_eig(w, V, t, lam: float, zeta: IndexFunction) -> float:
 
 def xi_from_operator(problem: SpectralProblem, tx, lam: float,
                      zeta: IndexFunction) -> float:
-    """compute_xi for an explicitly given empirical covariance matrix."""
+    """compute_xi for an explicitly given empirical covariance matrix.
+
+    ``tx`` comes from the caller, so only its symmetric part is used.
+    """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     zeta = _check_zeta(zeta, float(np.max(problem.t)) + lam)
-    w, V = _clamped_eigh(np.asarray(tx, dtype=np.float64), problem.kappa_sq)
+    tx = np.asarray(tx, dtype=np.float64)
+    w, V = _clamped_eigh(0.5 * (tx + tx.T), problem.kappa_sq)
     return _xi_given_eig(w, V, problem.t, lam, zeta)
 
 

@@ -234,7 +234,6 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
 
     key = {"h": "h_norm", "prediction": "prediction_norm",
            "zeta": "zeta_norm"}[config.error_norm]
-    direct = config.filter_id == "tikhonov"
 
     cells = []
     for m in config.m_grid:
@@ -247,7 +246,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     def one(cell_idx: int, k: int) -> float:
         m, problem, lam, tseeds = cells[cell_idx]
         ds = sample_dataset(problem, m, int(tseeds[k]))
-        est = estimate(problem, ds, filt, lam, tikhonov_direct=direct)
+        est = estimate(problem, ds, filt, lam)
         val = errors(problem, est, zeta=zeta)[key]
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite error in cell m={m}, trial={k}")

@@ -20,6 +20,13 @@ a Toeplitz-plus-Hankel matrix between the diagonal column weights W,
 so it takes only the 2d-1 cosine moments S(0..2d-2), read off Phi in
 O(m*d) (see ``crossprod``).
 
+Every BLAS and LAPACK call a trial makes goes through numpy.  The numpy
+and scipy wheels each bundle their own OpenBLAS, each with its own pool
+of worker threads; a trial that woke both would leave the idle workers
+of one pool spinning against the other on a small machine.  scipy
+supplies only ``toeplitz`` and ``hankel`` here, which build arrays and
+call no BLAS.
+
 Randomness is counter-based (numpy Philox): a dataset's design points
 come from the stream keyed by (seed, 0) and its noise from (seed, 1),
 so identical (problem, m, seed, design) always reproduce the same data.
@@ -31,8 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import blas as _blas
-from scipy.linalg import cho_factor, cho_solve, hankel, toeplitz
+from scipy.linalg import hankel, toeplitz
 
 from . import _accel
 from .filters import FilterFamily, filter_values, for_spectrum
@@ -42,8 +48,8 @@ from .model import SQRT2, SpectralProblem, forward_eval
 DESIGNS = ("random_uniform", "midpoint_grid")
 
 # below this m*d footprint the m < d branch uses a LAPACK SVD of the
-# design matrix directly; above it, the same singular system is read
-# off the m x m Gram matrix, which is much cheaper at harness scale
+# design matrix directly; above it, it works on the m x m Gram matrix,
+# which is much cheaper at harness scale
 _SVD_DIRECT_LIMIT = 1 << 18
 
 _NEG_EIG_TOL = 1e-12
@@ -105,28 +111,19 @@ def sample_dataset(problem: SpectralProblem, m: int, seed: int,
     return Dataset(x=x, y=y, seed=int(seed), design=design)
 
 
-def _column_weights(w: np.ndarray) -> np.ndarray:
-    # fold the sqrt(2) of the non-constant cosine modes into the weights
+def _design_weights(problem: SpectralProblem) -> np.ndarray:
+    # the column weights of design_matrix, Phi = C diag(w): a_j / l_j,
+    # with the sqrt(2) of the non-constant cosine modes folded in
+    w = problem.a / problem.l
     out = SQRT2 * w
     out[0] = w[0]
     return out
-
-
-def _design_weights(problem: SpectralProblem) -> np.ndarray:
-    # the column weights of design_matrix: Phi = C diag(w)
-    return _column_weights(problem.a / problem.l)
 
 
 def design_matrix(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     """m-by-d matrix of B_x in the basis: entries (a_j/l_j) e_j(x_i)."""
     x = np.asarray(x, dtype=np.float64)
     return _accel.weighted_cosine_table(x, _design_weights(problem))
-
-
-def design_matrix_a(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
-    """Design matrix of the un-rescaled forward map: entries a_j e_j(x_i)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _accel.weighted_cosine_table(x, _column_weights(problem.a))
 
 
 def crossprod(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -153,9 +150,8 @@ def crossprod(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def gram(phi: np.ndarray) -> np.ndarray:
-    """phi phi^T through the symmetric rank-k BLAS update."""
-    upper = _blas.dsyrk(1.0, phi, trans=0, lower=0)
-    return upper + np.triu(upper, 1).T
+    """phi phi^T, the m-by-m Gram matrix (exactly symmetric)."""
+    return phi @ phi.T
 
 
 def empirical_cov(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
@@ -166,13 +162,13 @@ def empirical_cov(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _clamped_eigh(S: np.ndarray, kappa_sq: float):
-    """Eigendecomposition with the PSD clamp.
+    """Eigendecomposition of a symmetric S with the PSD clamp.
 
+    S must be exactly symmetric: eigh reads only its lower triangle.
     Eigenvalues in [-1e-12 * kappa_sq, 0) are floating-point debris of a
     PSD-by-construction matrix and are set to 0; anything more negative
     signals a real defect and raises.
     """
-    S = 0.5 * (S + S.T)
     w, V = np.linalg.eigh(S)
     floor = -_NEG_EIG_TOL * kappa_sq
     if w[0] < floor:
@@ -182,49 +178,57 @@ def _clamped_eigh(S: np.ndarray, kappa_sq: float):
     return w, V
 
 
+def _shifted_solve(S: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
+    # (S + lam I)^-1 b, shifting the diagonal of S in place
+    S[np.diag_indices_from(S)] += lam
+    return np.linalg.solve(S, b)
+
+
 def estimate(problem: SpectralProblem, dataset: Dataset,
-             filt: FilterFamily, lam: float, *,
-             tikhonov_direct: bool = False) -> Estimate:
+             filt: FilterFamily, lam: float) -> Estimate:
     """Regularized solution u_hat = g_lambda(T_x) B_x^* y, f_hat = L^-1 u_hat.
 
-    The filter acts through the spectral decomposition: eigenvectors of
-    the d-by-d matrix T_x when m >= d, otherwise the singular system of
-    Phi/sqrt(m) (from a direct SVD at small sizes, or equivalently from
-    the m-by-m Gram matrix at scale).  Filters that need spectra in
-    [0, 1] are fed T_x / kappa^2 and their output is rescaled.
+    At small m*d with m < d, every filter acts through the singular
+    system of Phi/sqrt(m) from a direct SVD.  Otherwise Tikhonov is one
+    linear solve: (T_x + lambda I) u = B_x^* y when m >= d, and
+    u = Phi^T (Phi Phi^T / m + lambda I)^-1 y / m when m < d.  The other
+    filters act through the eigenvectors of T_x (m >= d) or of the
+    m-by-m Gram matrix (m < d).  Filters that need spectra in [0, 1] are
+    fed T_x / kappa^2 and their output is rescaled.
 
-    ``tikhonov_direct`` routes the Tikhonov filter through a Cholesky
-    solve of (T_x + lambda I) u = B_x^* y instead.  Both routes agree to
-    ~1e-12; the spectral route is the default and the agreement is
-    pinned by tests.
+    The solves use numpy's LU rather than scipy's Cholesky: numpy and
+    scipy each bundle their own OpenBLAS thread pool, and waking both in
+    one trial costs more than LU's extra flops.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if dataset.x.size < 1:
         raise ValueError("empty dataset")
     m, d = dataset.m, problem.d
-    cw = _design_weights(problem)
+    y = dataset.y
     phi = design_matrix(problem, dataset.x)
-    bvec = phi.T @ dataset.y / m
+    tikhonov = filt.id == "tikhonov"
     work, c = for_spectrum(filt, problem.kappa_sq)
 
-    if tikhonov_direct and filt.id == "tikhonov" and m >= d:
-        T = crossprod(phi, cw) / m
-        T[np.diag_indices_from(T)] += lam
-        u = cho_solve(cho_factor(T, lower=False, check_finite=False),
-                      bvec, check_finite=False)
-    elif m >= d:
-        evals, V = _clamped_eigh(crossprod(phi, cw) / m, problem.kappa_sq)
-        g = filter_values(work, lam, evals, prescale=c)
-        u = V @ (g * (V.T @ bvec))
+    if m >= d:
+        T = crossprod(phi, _design_weights(problem)) / m
+        bvec = phi.T @ y / m
+        if tikhonov:
+            u = _shifted_solve(T, lam, bvec)
+        else:
+            evals, V = _clamped_eigh(T, problem.kappa_sq)
+            g = filter_values(work, lam, evals, prescale=c)
+            u = V @ (g * (V.T @ bvec))
     elif m * d <= _SVD_DIRECT_LIMIT:
         _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
         g = filter_values(work, lam, s * s, prescale=c)
-        u = Wt.T @ (g * (Wt @ bvec))
+        u = Wt.T @ (g * (Wt @ (phi.T @ y / m)))
+    elif tikhonov:
+        u = phi.T @ _shifted_solve(gram(phi) / m, lam, y) / m
     else:
         evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
         g = filter_values(work, lam, evals, prescale=c)
-        u = phi.T @ (U @ (g * (U.T @ dataset.y))) / m
+        u = phi.T @ (U @ (g * (U.T @ y))) / m
     return Estimate(f_hat=u / problem.l, u_hat=u, lam=float(lam),
                     filter_id=filt.id, m=m)
 

@@ -17,6 +17,7 @@ from scalereg import (
     compute_upsilon,
     compute_xi,
     effdim,
+    empirical_cov,
     lambda_balance_effdim,
     make_filter,
     montecarlo_coverage,
@@ -72,6 +73,18 @@ def test_xi_scalar_oracle():
     # T_nu = 1, T_x = 1/3, identity zeta, lam = 1: (1+1)/(1/3+1) = 3/2
     xi = xi_from_operator(prob, np.array([[1.0 / 3.0]]), 1.0, IDENTITY)
     assert xi == pytest.approx(1.5, abs=1e-14)
+
+
+def test_xi_uses_the_symmetric_part_of_the_operator():
+    prob = _problem(d=8)
+    tx = empirical_cov(prob, np.linspace(0.05, 0.95, 32))
+    # an upper-triangular perturbation, invisible to a solver reading
+    # only the lower triangle
+    asym = tx + np.triu(np.full_like(tx, 0.01), 1)
+    sym = 0.5 * (asym + asym.T)
+    xi = xi_from_operator(prob, asym, 0.1, IDENTITY)
+    assert xi == xi_from_operator(prob, sym, 0.1, IDENTITY)
+    assert xi != xi_from_operator(prob, tx, 0.1, IDENTITY)
 
 
 def test_xi_rejects_superlinear_zeta():

@@ -6,7 +6,6 @@ from scalereg import (
     Dataset,
     build_power_problem,
     design_matrix,
-    design_matrix_a,
     empirical_cov,
     errors,
     estimate,
@@ -62,8 +61,6 @@ def test_design_matrix_row_oracle():
     # a = (1, 1), l = (1, 2); at x = 0 the basis is (1, sqrt(2))
     row = design_matrix(prob, np.array([0.0]))[0]
     np.testing.assert_allclose(row, [1.0, np.sqrt(2.0) / 2.0])
-    row_a = design_matrix_a(prob, np.array([0.0]))[0]
-    np.testing.assert_allclose(row_a, [1.0, np.sqrt(2.0)])
 
 
 def test_crossprod_and_gram_match_dense_products():
@@ -72,7 +69,9 @@ def test_crossprod_and_gram_match_dense_products():
     phi = design_matrix(prob, x)
     np.testing.assert_allclose(crossprod(phi, _design_weights(prob)),
                                phi.T @ phi, atol=1e-12)
-    np.testing.assert_allclose(gram(phi), phi @ phi.T, atol=1e-12)
+    G = gram(phi)
+    assert np.array_equal(G, G.T)
+    np.testing.assert_allclose(G, phi @ phi.T, atol=1e-12)
 
 
 def _moment_problem(d):
@@ -121,25 +120,30 @@ def test_scalar_estimator_oracle():
     assert est.f_hat[0] == pytest.approx(0.5, abs=1e-14)
 
 
-def test_tikhonov_spectral_equals_direct_solve():
+@pytest.mark.parametrize("route", ["primal", "dual_svd", "dual_solve"])
+def test_tikhonov_equals_dense_solve_on_every_route(route, monkeypatch):
+    # m >= d solves on the d x d side; m < d takes the SVD branch at
+    # small m*d and the m x m solve once the SVD limit is lowered
+    if route == "dual_solve":
+        monkeypatch.setattr(sampling, "_SVD_DIRECT_LIMIT", 1)
     rng = np.random.default_rng(7)
+    filt = make_filter("tikhonov")
     worst = 0.0
     for _ in range(20):
         d = int(rng.integers(2, 33))
-        m = int(rng.integers(d, 257))
+        if route == "primal":
+            m = int(rng.integers(d, 257))
+        else:
+            m = int(rng.integers(1, d))
         prob = _problem(d=d, sigma=0.1)
         ds = sample_dataset(prob, m, seed=int(rng.integers(10 ** 6)))
         lam = float(10 ** rng.uniform(-6, 0))
-        filt = make_filter("tikhonov")
-        spectral = estimate(prob, ds, filt, lam)
-        direct = estimate(prob, ds, filt, lam, tikhonov_direct=True)
+        est = estimate(prob, ds, filt, lam)
         phi = design_matrix(prob, ds.x)
         ref = np.linalg.solve(phi.T @ phi / m + lam * np.eye(d),
                               phi.T @ ds.y / m)
-        worst = max(worst,
-                    np.abs(spectral.u_hat - ref).max(),
-                    np.abs(direct.u_hat - ref).max())
-    assert worst <= 1e-10, f"estimator routes deviate by {worst}"
+        worst = max(worst, np.abs(est.u_hat - ref).max())
+    assert worst <= 1e-10, f"{route} route deviates by {worst}"
 
 
 def test_svd_and_gram_routes_agree_when_m_below_d(monkeypatch):
