@@ -4,7 +4,11 @@ The backend is chosen at import time from the SCALEREG_NO_NUMBA
 environment flag, so each backend is timed in its own subprocess and the
 parent only assembles the comparison table.  The ``crossprod`` rows time
 the O(m*d) moment build of phi^T phi against the dense ``phi.T @ phi``
-on the same table:
+on the same table, and the ``PCG solve`` rows time the estimator's
+primal Tikhonov solve (conjugate gradients preconditioned with the
+population operator, with its step count) against numpy's LU solve of
+the same system (the LU time includes the copy of T it shifts in
+place), on criterion-10 cells at the power-table lambda:
 
     python3 benchmarks/bench_kernels.py
 
@@ -24,6 +28,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 TABLE_SIZES = [(1024, 128), (4096, 512), (16384, 1024)]
 CLENSHAW_SIZES = [(4096, 64), (4096, 512), (4096, 2048)]
 CROSSPROD_SIZES = [(4096, 256), (2048, 2000), (16384, 512)]
+SOLVE_SIZES = [(2048, 2000), (16384, 2000), (16384, 512)]
 REPEATS = 7
 
 
@@ -39,9 +44,10 @@ def _best_of(fn, repeats=REPEATS):
 def run_worker():
     import numpy as np
 
-    from scalereg import (backend_name, clenshaw_cosine, warmup,
-                          weighted_cosine_table)
-    from scalereg.sampling import crossprod
+    from scalereg import (LambdaRule, PowerProblemSpec, backend_name,
+                          clenshaw_cosine, design_matrix, empirical_cov,
+                          sample_dataset, warmup, weighted_cosine_table)
+    from scalereg.sampling import _pcg, _shifted_solve, crossprod
 
     warmup()
     rng = np.random.Generator(np.random.Philox(0))
@@ -61,7 +67,26 @@ def run_worker():
                      "seconds": _best_of(lambda: crossprod(phi, w))})
         rows.append({"kernel": "phi.T @ phi", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: phi.T @ phi)})
+    rule = LambdaRule("power_table", {"case": "regular"})
+    for m, d in SOLVE_SIZES:
+        prob = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0,
+                                d_override=d).build(m, 0)
+        ds = sample_dataset(prob, m, 0)
+        lam = rule.resolve(prob, m)
+        T = empirical_cov(prob, ds.x)
+        b = design_matrix(prob, ds.x).T @ ds.y / m
+        _, steps = _pcg(T, lam, b, prob.t)
+        rows.append({"kernel": "LU solve", "shape": f"{m}x{d}",
+                     "seconds": _best_of(
+                         lambda: _shifted_solve(T.copy(), lam, b))})
+        rows.append({"kernel": "PCG solve", "shape": f"{m}x{d}",
+                     "seconds": _best_of(lambda: _pcg(T, lam, b, prob.t)),
+                     "steps": steps})
     json.dump({"backend": backend_name(), "rows": rows}, sys.stdout)
+
+
+def _steps(row) -> str:
+    return f"  {row['steps']} steps" if "steps" in row else ""
 
 
 def run_comparison():
@@ -79,7 +104,7 @@ def run_comparison():
         print("numba backend unavailable; fallback timings only:")
         for row in results["numpy"]:
             print(f"  {row['kernel']:22s} {row['shape']:>10s} "
-                  f"{row['seconds'] * 1e3:8.3f} ms")
+                  f"{row['seconds'] * 1e3:8.3f} ms{_steps(row)}")
         return
     print(f"{'kernel':22s} {'shape':>10s} {'numba ms':>10s} "
           f"{'numpy ms':>10s} {'speedup':>8s}")
@@ -89,7 +114,7 @@ def run_comparison():
         ratio = slow["seconds"] / fast["seconds"]
         print(f"{fast['kernel']:22s} {fast['shape']:>10s} "
               f"{fast['seconds'] * 1e3:10.3f} {slow['seconds'] * 1e3:10.3f} "
-              f"{ratio:8.2f}x")
+              f"{ratio:8.2f}x{_steps(fast)}")
 
 
 def main():

@@ -20,7 +20,6 @@ the residual-envelope lemma) get direct spectral checks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +29,8 @@ from .effdim import effdim
 from .filters import FilterFamily, for_spectrum, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
-from .sampling import (Dataset, _clamped_eigh, _design_weights, _stream,
-                       crossprod, design_matrix, empirical_cov)
+from .sampling import (Dataset, _clamped_eigh, _design_weights, _map_trials,
+                       _stream, crossprod, design_matrix, empirical_cov)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
 
@@ -219,7 +218,8 @@ def _trial_values(problem: SpectralProblem, m: int, lam: float,
     t = problem.t
     x = _stream(trial_seed, 0).random(m)
     phi = design_matrix(problem, x)
-    tx = crossprod(phi, _design_weights(problem)) / m
+    tx = crossprod(phi, _design_weights(problem))
+    tx /= m
     out = {}
     dev = np.diag(t) - tx
     if "TX_DEV" in tags:
@@ -275,11 +275,7 @@ def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
     def one(k: int) -> dict:
         return _trial_values(problem, m, lam, int(tseeds[k]), tags, zeta_fns)
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(trials)))
-    else:
-        rows = [one(k) for k in range(trials)]
+    rows = _map_trials(one, range(trials), threads)
 
     # the balance rule lands exactly on N(lam) = m lam; the boundary is
     # inside the hypothesis, so allow root-finder slack

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .filters import check_covering, make_filter
 from .indexfn import IndexFunction, from_config, power_fn, to_config
 from .lambda_rules import LambdaRule
 from .model import SpectralProblem, build_power_problem
-from .sampling import errors, estimate, sample_dataset
+from .sampling import _map_trials, errors, estimate, sample_dataset
 
 ERROR_NORMS = ("h", "prediction", "zeta")
 CASES = ("oversmoothing", "regular")
@@ -217,6 +216,10 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     Per m-cell: lambda from the rule, trials_per_m seeded datasets,
     chosen error norm per trial.  Medians are fitted by weighted least
     squares in log-log (weights = trials / variance of the log errors).
+    Each cell also reports ``cg_steps``, the median number of PCG steps
+    of the primal Tikhonov solve (0 on routes without one; a trial that
+    fell back to LU counts as infinitely many), a per-cell reading of
+    the hypothesis N(lambda) <= m lambda.
     Refuses configs whose filter qualification does not cover the
     case's index function, and aborts on any NaN error with the cell
     named.
@@ -243,40 +246,39 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
             config.trials_per_m, dtype=np.uint64)
         cells.append((m, problem, lam, tseeds))
 
-    def one(cell_idx: int, k: int) -> float:
+    def one(jk) -> tuple:
+        cell_idx, k = jk
         m, problem, lam, tseeds = cells[cell_idx]
         ds = sample_dataset(problem, m, int(tseeds[k]))
         est = estimate(problem, ds, filt, lam)
         val = errors(problem, est, zeta=zeta)[key]
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite error in cell m={m}, trial={k}")
-        return val
+        return val, math.inf if est.lu_fallback else est.cg_steps
 
     jobs = [(ci, k) for ci in range(len(cells))
             for k in range(config.trials_per_m)]
-    if config.threads is not None and config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            flat = list(pool.map(lambda jk: one(*jk), jobs))
-    else:
-        flat = [one(*jk) for jk in jobs]
+    flat = _map_trials(one, jobs, config.threads)
 
     per_m, log_meds, weights = [], [], []
     degenerate = False
+    n = config.trials_per_m
     for ci, (m, _, lam, _) in enumerate(cells):
-        vals = np.array(flat[ci * config.trials_per_m:
-                             (ci + 1) * config.trials_per_m])
+        cell = flat[ci * n:(ci + 1) * n]
+        vals = np.array([val for val, _ in cell])
         med = float(np.median(vals))
         per_m.append({"m": int(m), "lambda_used": float(lam),
                       "mean_error": float(np.mean(vals)),
                       "median_error": med,
-                      "std_error": float(np.std(vals, ddof=1))})
+                      "std_error": float(np.std(vals, ddof=1)),
+                      "cg_steps": float(np.median([k for _, k in cell]))})
         if med < _DEGENERATE_FLOOR:
             degenerate = True
             continue
         log_meds.append(math.log(med))
         var = float(np.var(np.log(np.maximum(vals, _DEGENERATE_FLOOR)),
                            ddof=1))
-        weights.append(config.trials_per_m / max(var, 1e-12))
+        weights.append(n / max(var, 1e-12))
 
     if degenerate or len(log_meds) < 2:
         return RateReport(per_m=tuple(per_m), fitted_exponent=float("nan"),

@@ -21,7 +21,7 @@ from ._accel import backend_name
 
 BOUNDS_HEADER = ("quantity", "lambda", "m", "eta", "trials",
                  "quantile", "bound", "coverage")
-RATE_HEADER = ("m", "lambda", "mean", "median", "std")
+RATE_HEADER = ("m", "lambda", "mean", "median", "std", "cg_steps")
 
 _RATE_FOOTER_KEYS = ("fitted_exponent", "fit_stderr", "theoretical_exponent",
                      "pass", "degenerate", "config_hash")
@@ -137,7 +137,12 @@ def read_bounds_csv(path):
 
 
 def write_rate_csv(path, report) -> None:
-    """Per-m rows plus a '#'-prefixed footer with the fit summary."""
+    """Per-m rows plus a '#'-prefixed footer with the fit summary.
+
+    The trailing ``cg_steps`` column is the cell's median PCG step count
+    (``inf`` when most trials fell back to LU, ``nan`` for a row that
+    does not carry it).
+    """
     doc = report.to_dict() if hasattr(report, "to_dict") else dict(report)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -145,7 +150,8 @@ def write_rate_csv(path, report) -> None:
         for row in doc["per_m"]:
             w.writerow((str(row["m"]), _f(row["lambda_used"]),
                         _f(row["mean_error"]), _f(row["median_error"]),
-                        _f(row["std_error"])))
+                        _f(row["std_error"]),
+                        _f(row.get("cg_steps", math.nan))))
         for key in _RATE_FOOTER_KEYS:
             val = doc[key]
             if isinstance(val, bool):
@@ -177,7 +183,7 @@ def read_rate_csv(path) -> dict:
         r = line.split(",")
         per_m.append({"m": int(r[0]), "lambda_used": _parse(r[1]),
                       "mean_error": _parse(r[2]), "median_error": _parse(r[3]),
-                      "std_error": _parse(r[4])})
+                      "std_error": _parse(r[4]), "cg_steps": _parse(r[5])})
     return {"per_m": per_m, **footer}
 
 

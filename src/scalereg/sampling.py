@@ -20,12 +20,23 @@ a Toeplitz-plus-Hankel matrix between the diagonal column weights W,
 so it takes only the 2d-1 cosine moments S(0..2d-2), read off Phi in
 O(m*d) (see ``crossprod``).
 
+When m >= d, Tikhonov solves (T_x + lambda I) u = Phi^T y / m by
+conjugate gradients preconditioned with the population operator
+T = diag(t_j): the preconditioner is (T + lambda I)^-1, the start point
+(T + lambda I)^-1 b, and each step is one matrix-vector product with
+T_x.  The preconditioned operator is
+(T + lambda)^(-1/2) (T_x + lambda) (T + lambda)^(-1/2) = I - E with
+||E|| <= Upsilon / sqrt(lambda), Upsilon = ||(T + lambda)^(-1/2)(T - T_x)||,
+and the analysis keeps Upsilon small under its standing hypothesis
+N(lambda) <= m lambda; so the spectrum clusters at 1 and a few steps
+reach a residual of 1e-14 ||b||.  Off that hypothesis (tiny lambda at
+small m) the iteration may not get there within ``_PCG_MAX_STEPS``
+steps, and the dense LU solve of the same system answers instead.
+
 Every BLAS and LAPACK call a trial makes goes through numpy.  The numpy
 and scipy wheels each bundle their own OpenBLAS, each with its own pool
 of worker threads; a trial that woke both would leave the idle workers
-of one pool spinning against the other on a small machine.  scipy
-supplies only ``toeplitz`` and ``hankel`` here, which build arrays and
-call no BLAS.
+of one pool spinning against the other on a small machine.
 
 Randomness is counter-based (numpy Philox): a dataset's design points
 come from the stream keyed by (seed, 0) and its noise from (seed, 1),
@@ -34,11 +45,12 @@ so identical (problem, m, seed, design) always reproduce the same data.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
+from numpy.lib.stride_tricks import as_strided
 
 from . import _accel
 from .filters import FilterFamily, filter_values, for_spectrum
@@ -53,6 +65,14 @@ DESIGNS = ("random_uniform", "midpoint_grid")
 _SVD_DIRECT_LIMIT = 1 << 18
 
 _NEG_EIG_TOL = 1e-12
+
+# the primal Tikhonov PCG stops at ||r|| <= _PCG_RTOL ||b||; past
+# _PCG_MAX_STEPS steps the LU solve of the same system answers
+_PCG_RTOL = 1e-14
+_PCG_MAX_STEPS = 100
+
+# rows of the d x d operator scaled per block in crossprod
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -81,16 +101,38 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Estimate:
+    """A regularized solution and how it was solved.
+
+    ``cg_steps`` counts the conjugate-gradient steps of the primal
+    Tikhonov solve (0 on every other route).  ``lu_fallback`` marks a
+    solve whose PCG reached ``_PCG_MAX_STEPS`` without converging, so
+    that the LU solve gave u_hat.
+    """
+
     f_hat: np.ndarray
     u_hat: np.ndarray
     lam: float
     filter_id: str
     m: int
+    cg_steps: int = 0
+    lu_fallback: bool = False
 
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence([int(seed), which])))
+
+
+def _map_trials(fn, jobs, threads: Optional[int]) -> list:
+    """[fn(job) for job in jobs], on `threads` Python threads if > 1.
+
+    Results come back in job order and each trial draws from its own
+    seeded streams, so the output does not depend on `threads`.
+    """
+    if threads is not None and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def sample_dataset(problem: SpectralProblem, m: int, seed: int,
@@ -138,14 +180,25 @@ def crossprod(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
     of phi give S(0..d-1); its last column against all columns gives
     (phi^T phi)[:, d-1] = w w_{d-1} [S(d-1..0) + S(d-1..2d-2)] / 2 and so
     the high moments.  The result is exactly symmetric.
+
+    The Toeplitz and Hankel parts are read-only strided views of the
+    moment vector, and the weights are applied in row blocks, so the
+    only d-by-d array built is the result.
     """
     d = w.shape[0]
     s = np.empty(2 * d - 1)
     s[:d] = phi.sum(axis=0) / w
     s[d - 1:] = 2.0 * (phi.T @ phi[:, d - 1]) / (w * w[d - 1]) - s[d - 1::-1]
-    out = toeplitz(s[:d])
-    out += hankel(s[:d], s[d - 1:])
-    out *= np.outer(w, 0.5 * w)
+    # sym[d-1+n] = S(|n|) for |n| < d, so sym[d-1-j+k] = S(|j-k|)
+    sym = np.concatenate((s[d - 1:0:-1], s[:d]))
+    step = s.strides[0]
+    toe = as_strided(sym[d - 1:], shape=(d, d), strides=(-step, step),
+                     writeable=False)
+    han = as_strided(s, shape=(d, d), strides=(step, step), writeable=False)
+    out = np.add(toe, han)
+    half = 0.5 * w
+    for i in range(0, d, _ROW_BLOCK):
+        out[i:i + _ROW_BLOCK] *= np.outer(w[i:i + _ROW_BLOCK], half)
     return out
 
 
@@ -157,8 +210,9 @@ def gram(phi: np.ndarray) -> np.ndarray:
 def empirical_cov(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     """T_x = (1/m) Phi^T Phi (symmetric positive semidefinite)."""
     x = np.asarray(x, dtype=np.float64)
-    return crossprod(design_matrix(problem, x),
-                     _design_weights(problem)) / x.size
+    T = crossprod(design_matrix(problem, x), _design_weights(problem))
+    T /= x.size
+    return T
 
 
 def _clamped_eigh(S: np.ndarray, kappa_sq: float):
@@ -184,19 +238,56 @@ def _shifted_solve(S: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(S, b)
 
 
+def _pcg(T: np.ndarray, lam: float, b: np.ndarray, t: np.ndarray):
+    """(u, steps) solving (T + lam I) u = b by CG preconditioned with
+    (t + lam)^-1, from u = b / (t + lam), until ||r|| <= _PCG_RTOL ||b||.
+
+    u is None when _PCG_MAX_STEPS steps do not get there.  T is left
+    unchanged.
+    """
+    pinv = 1.0 / (t + lam)
+    u = pinv * b
+    r = b - (T @ u + lam * u)
+    tol = _PCG_RTOL * np.linalg.norm(b)
+    z = pinv * r
+    p = z.copy()
+    rz = r @ z
+    steps = 0
+    while np.linalg.norm(r) > tol:
+        if steps == _PCG_MAX_STEPS:
+            return None, steps
+        q = T @ p + lam * p
+        alpha = rz / (p @ q)
+        u += alpha * p
+        r -= alpha * q
+        z = pinv * r
+        rz, rz_old = r @ z, rz
+        p *= rz / rz_old
+        p += z
+        steps += 1
+    return u, steps
+
+
 def estimate(problem: SpectralProblem, dataset: Dataset,
              filt: FilterFamily, lam: float) -> Estimate:
     """Regularized solution u_hat = g_lambda(T_x) B_x^* y, f_hat = L^-1 u_hat.
 
     At small m*d with m < d, every filter acts through the singular
     system of Phi/sqrt(m) from a direct SVD.  Otherwise Tikhonov is one
-    linear solve: (T_x + lambda I) u = B_x^* y when m >= d, and
-    u = Phi^T (Phi Phi^T / m + lambda I)^-1 y / m when m < d.  The other
-    filters act through the eigenvectors of T_x (m >= d) or of the
-    m-by-m Gram matrix (m < d).  Filters that need spectra in [0, 1] are
-    fed T_x / kappa^2 and their output is rescaled.
+    linear solve.  When m >= d it solves (T_x + lambda I) u = B_x^* y by
+    conjugate gradients preconditioned with (T + lambda I)^-1,
+    T = diag(t_j) the population operator, started at
+    (T + lambda I)^-1 B_x^* y and stopped at a residual of 1e-14 times
+    the right-hand side.  Under N(lambda) <= m lambda the preconditioned
+    operator is within Upsilon / sqrt(lambda) of the identity, so it
+    takes a few steps (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not
+    suffice, numpy's LU solve of the same system answers
+    (``lu_fallback``).  When m < d, u = Phi^T (Phi Phi^T / m + lambda I)^-1
+    y / m by LU.  The other filters act through the eigenvectors of T_x
+    (m >= d) or of the m-by-m Gram matrix (m < d).  Filters that need
+    spectra in [0, 1] are fed T_x / kappa^2 and their output is rescaled.
 
-    The solves use numpy's LU rather than scipy's Cholesky: numpy and
+    The LU solves use numpy rather than scipy's Cholesky: numpy and
     scipy each bundle their own OpenBLAS thread pool, and waking both in
     one trial costs more than LU's extra flops.
     """
@@ -209,12 +300,16 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     phi = design_matrix(problem, dataset.x)
     tikhonov = filt.id == "tikhonov"
     work, c = for_spectrum(filt, problem.kappa_sq)
+    steps, fallback = 0, False
 
     if m >= d:
-        T = crossprod(phi, _design_weights(problem)) / m
+        T = crossprod(phi, _design_weights(problem))
+        T /= m
         bvec = phi.T @ y / m
         if tikhonov:
-            u = _shifted_solve(T, lam, bvec)
+            u, steps = _pcg(T, lam, bvec, problem.t)
+            if u is None:
+                u, fallback = _shifted_solve(T, lam, bvec), True
         else:
             evals, V = _clamped_eigh(T, problem.kappa_sq)
             g = filter_values(work, lam, evals, prescale=c)
@@ -230,7 +325,8 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
         g = filter_values(work, lam, evals, prescale=c)
         u = phi.T @ (U @ (g * (U.T @ y))) / m
     return Estimate(f_hat=u / problem.l, u_hat=u, lam=float(lam),
-                    filter_id=filt.id, m=m)
+                    filter_id=filt.id, m=m, cg_steps=steps,
+                    lu_fallback=fallback)
 
 
 def errors(problem: SpectralProblem, est: Estimate,

@@ -188,3 +188,24 @@ def test_rate_improves_with_source_smoothness():
             seed=0, case="regular", tolerance=0.5)
         fitted[r] = run_rate_experiment(cfg).fitted_exponent
     assert fitted[2.0] < fitted[1.0]
+
+
+def test_cells_report_median_cg_steps(tmp_path, monkeypatch):
+    # m = 32 < d takes the SVD route (no CG); the other cells solve the
+    # primal system by PCG, or by LU once the step cap is cut to one
+    import scalereg.sampling as sampling
+    from scalereg.reporting import read_rate_csv, write_rate_csv
+    cfg = _small_config(
+        problem=PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0,
+                                 sigma=0.05, d_override=128),
+        m_grid=(32, 256, 1024))
+    steps = [row["cg_steps"] for row in run_rate_experiment(cfg).per_m]
+    assert steps[0] == 0.0 and all(0 < k <= 20 for k in steps[1:]), steps
+    monkeypatch.setattr(sampling, "_PCG_MAX_STEPS", 1)
+    rep = run_rate_experiment(cfg)
+    assert [row["cg_steps"] for row in rep.per_m] == [0.0, math.inf,
+                                                      math.inf]
+    path = tmp_path / "rate.csv"
+    write_rate_csv(path, rep)
+    assert [row["cg_steps"] for row in read_rate_csv(path)["per_m"]] == [
+        0.0, math.inf, math.inf]

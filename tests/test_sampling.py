@@ -101,6 +101,62 @@ def test_crossprod_from_moments_matches_direct_cos(d, below):
     assert rel <= 1e-13, f"relative deviation {rel} at m={m}, d={d}"
 
 
+@pytest.mark.parametrize("d", [1, 2, 64, 65, 300])
+def test_crossprod_equals_the_dense_toeplitz_hankel_build(d):
+    # the strided, row-blocked assembly does the same float operations
+    # as toeplitz + hankel scaled by the full outer product of weights
+    from scipy.linalg import hankel, toeplitz
+    prob = _moment_problem(d)
+    x = np.random.default_rng(d + 1).random(2 * d + 5)
+    w = _design_weights(prob)
+    phi = design_matrix(prob, x)
+    s = np.empty(2 * d - 1)
+    s[:d] = phi.sum(axis=0) / w
+    s[d - 1:] = (2.0 * (phi.T @ phi[:, d - 1]) / (w * w[d - 1])
+                 - s[d - 1::-1])
+    want = toeplitz(s[:d])
+    want += hankel(s[:d], s[d - 1:])
+    want *= np.outer(w, 0.5 * w)
+    assert np.array_equal(crossprod(phi, w), want)
+
+
+def _regular_cell(m, d, seed):
+    # a criterion-10 cell: s = 1/2, a = 1/4, r = 2, q = 4 at the
+    # power-table lambda of the regular case
+    from scalereg import LambdaRule, PowerProblemSpec
+    spec = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0, sigma=0.05,
+                            d_override=d)
+    prob = spec.build(m, seed)
+    lam = LambdaRule("power_table", {"case": "regular"}).resolve(prob, m)
+    return prob, sample_dataset(prob, m, seed), lam
+
+
+def test_primal_pcg_matches_dense_solve_at_benchmark_size():
+    m, d = 2048, 2000
+    prob, ds, lam = _regular_cell(m, d, seed=41)
+    filt = make_filter("tikhonov")
+    est = estimate(prob, ds, filt, lam)
+    assert 0 < est.cg_steps <= 20 and not est.lu_fallback
+    lhs = empirical_cov(prob, ds.x)
+    lhs[np.diag_indices_from(lhs)] += lam
+    ref = np.linalg.solve(lhs, design_matrix(prob, ds.x).T @ ds.y / m)
+    rel = np.linalg.norm(est.u_hat - ref) / np.linalg.norm(ref)
+    assert rel <= 1e-12, f"PCG deviates from LU by {rel}"
+    assert np.array_equal(estimate(prob, ds, filt, lam).u_hat, est.u_hat)
+
+
+def test_primal_pcg_falls_back_to_the_lu_solve_at_its_cap(monkeypatch):
+    monkeypatch.setattr(sampling, "_PCG_MAX_STEPS", 1)
+    m, d = 300, 64
+    prob, ds, lam = _regular_cell(m, d, seed=3)
+    est = estimate(prob, ds, make_filter("tikhonov"), lam)
+    assert est.lu_fallback and est.cg_steps == 1
+    phi = design_matrix(prob, ds.x)
+    want = sampling._shifted_solve(empirical_cov(prob, ds.x), lam,
+                                   phi.T @ ds.y / m)
+    assert np.array_equal(est.u_hat, want)
+
+
 def test_midpoint_quadrature_diagonalizes_covariance():
     prob = _problem(d=12, sigma=0.0)
     x = (np.arange(1, 65) - 0.5) / 64.0
