@@ -3,12 +3,14 @@
 The backend is chosen at import time from the SCALEREG_NO_NUMBA
 environment flag, so each backend is timed in its own subprocess and the
 parent only assembles the comparison table.  The ``crossprod`` rows time
-the O(m*d) moment build of phi^T phi against the dense ``phi.T @ phi``
-on the same table, and the ``PCG solve`` rows time the estimator's
-primal Tikhonov solve (conjugate gradients preconditioned with the
-population operator, with its step count) against numpy's LU solve of
-the same system (the LU time includes the copy of T it shifts in
-place), on criterion-10 cells at the power-table lambda:
+the O(m*d) moment build of the factored phi^T phi, its dense assembly
+``toarray()``, and the dense ``phi.T @ phi`` on the same table.  The
+``PCG solve`` rows time the estimator's primal Tikhonov solve
+(conjugate gradients preconditioned with the population operator, with
+its step count) on the factored T_x that ``crossprod`` returns, as
+``estimate`` runs it, next to the same PCG on the dense T_x and numpy's
+LU solve of the same system (the LU time includes the copy of T it
+shifts in place), on criterion-10 cells at the power-table lambda:
 
     python3 benchmarks/bench_kernels.py
 
@@ -45,9 +47,10 @@ def run_worker():
     import numpy as np
 
     from scalereg import (LambdaRule, PowerProblemSpec, backend_name,
-                          clenshaw_cosine, design_matrix, empirical_cov,
-                          sample_dataset, warmup, weighted_cosine_table)
-    from scalereg.sampling import _pcg, _shifted_solve, crossprod
+                          clenshaw_cosine, design_matrix, sample_dataset,
+                          warmup, weighted_cosine_table)
+    from scalereg.sampling import (_design_weights, _pcg, _shifted_solve,
+                                   crossprod)
 
     warmup()
     rng = np.random.Generator(np.random.Philox(0))
@@ -63,8 +66,11 @@ def run_worker():
     for m, d in CROSSPROD_SIZES:
         w = rng.random(d) + 0.5
         phi = weighted_cosine_table(rng.random(m), w)
+        op = crossprod(phi, w)
         rows.append({"kernel": "crossprod", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: crossprod(phi, w))})
+        rows.append({"kernel": "crossprod.toarray()", "shape": f"{m}x{d}",
+                     "seconds": _best_of(op.toarray)})
         rows.append({"kernel": "phi.T @ phi", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: phi.T @ phi)})
     rule = LambdaRule("power_table", {"case": "regular"})
@@ -73,15 +79,17 @@ def run_worker():
                                 d_override=d).build(m, 0)
         ds = sample_dataset(prob, m, 0)
         lam = rule.resolve(prob, m)
-        T = empirical_cov(prob, ds.x)
-        b = design_matrix(prob, ds.x).T @ ds.y / m
-        _, steps = _pcg(T, lam, b, prob.t)
+        phi = design_matrix(prob, ds.x)
+        op = crossprod(phi, _design_weights(prob)) / m
+        T = op.toarray()
+        b = phi.T @ ds.y / m
         rows.append({"kernel": "LU solve", "shape": f"{m}x{d}",
                      "seconds": _best_of(
                          lambda: _shifted_solve(T.copy(), lam, b))})
-        rows.append({"kernel": "PCG solve", "shape": f"{m}x{d}",
-                     "seconds": _best_of(lambda: _pcg(T, lam, b, prob.t)),
-                     "steps": steps})
+        for name, A in (("PCG solve, dense T", T), ("PCG solve", op)):
+            rows.append({"kernel": name, "shape": f"{m}x{d}",
+                         "seconds": _best_of(lambda: _pcg(A, lam, b, prob.t)),
+                         "steps": _pcg(A, lam, b, prob.t)[1]})
     json.dump({"backend": backend_name(), "rows": rows}, sys.stdout)
 
 

@@ -20,7 +20,7 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       check_qualification, check_regularization_constants,
                       default_lambda_grid, default_t_grid, filter_values,
                       for_spectrum, landweber_iterations, make_filter,
-                      residual, residual_values, spectrum_prescale)
+                      residual, residual_values)
 from .harness import (CASES, ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
                       RateReport, config_hash, fit_rate, run_rate_experiment,
                       theoretical_exponent, truncation_dim)

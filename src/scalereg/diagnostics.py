@@ -218,8 +218,7 @@ def _trial_values(problem: SpectralProblem, m: int, lam: float,
     t = problem.t
     x = _stream(trial_seed, 0).random(m)
     phi = design_matrix(problem, x)
-    tx = crossprod(phi, _design_weights(problem))
-    tx /= m
+    tx = (crossprod(phi, _design_weights(problem)) / m).toarray()
     out = {}
     dev = np.diag(t) - tx
     if "TX_DEV" in tags:

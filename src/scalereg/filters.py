@@ -162,11 +162,6 @@ def residual_values(filt: FilterFamily, lam: float, spectrum,
     return residual(filt, lam, t)
 
 
-def spectrum_prescale(filt: FilterFamily, kappa_sq: float) -> float:
-    """Scaling constant applied to empirical spectra before filtering."""
-    return float(kappa_sq) if filt.id == "landweber" else 1.0
-
-
 def for_spectrum(filt: FilterFamily,
                  kappa_sq: float) -> Tuple[FilterFamily, float]:
     """A (filter, prescale) pair able to act on spectra bounded by kappa_sq.

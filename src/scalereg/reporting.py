@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import platform
+from functools import cache
 from importlib import metadata
 
 import numpy as np
@@ -202,7 +203,10 @@ def estimate_to_dict(est) -> dict:
 
 # ------------------------------------------------------------ manifest
 
+@cache
 def _pkg_version(name: str):
+    # installed versions do not change while the process runs, and
+    # parsing scipy's metadata takes milliseconds per call
     try:
         return metadata.version(name)
     except metadata.PackageNotFoundError:
@@ -211,14 +215,12 @@ def _pkg_version(name: str):
 
 def manifest(config_doc, seed) -> dict:
     """Reproducibility record: config hash, seed, versions, backend."""
-    import scipy
-
     return {"config_sha256": sha256_of(config_doc),
             "seed": int(seed),
             "backend": backend_name(),
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__,
-                         "scipy": scipy.__version__,
+                         "scipy": _pkg_version("scipy"),
                          "numba": _pkg_version("numba"),
                          "scalereg": _pkg_version("scalereg") or "0.1.0"}}
 

@@ -18,13 +18,19 @@ cos(j s) cos(k s) = [cos((j-k) s) + cos((j+k) s)] / 2 gives
 
 a Toeplitz-plus-Hankel matrix between the diagonal column weights W,
 so it takes only the 2d-1 cosine moments S(0..2d-2), read off Phi in
-O(m*d) (see ``crossprod``).
+O(m*d) (see ``crossprod``).  ``crossprod`` returns it in that factored
+form: the moments, the weights and the divisor m.  Its product with a
+vector is one real FFT convolution in O(d log d) (the circulant
+embedding of the Toeplitz part has a real spectrum, and the Hankel part
+is a correlation with the same transform), and ``toarray()`` assembles
+the dense matrix where a factorization needs it.
 
 When m >= d, Tikhonov solves (T_x + lambda I) u = Phi^T y / m by
 conjugate gradients preconditioned with the population operator
 T = diag(t_j): the preconditioner is (T + lambda I)^-1, the start point
-(T + lambda I)^-1 b, and each step is one matrix-vector product with
-T_x.  The preconditioned operator is
+(T + lambda I)^-1 b, and each step is one FFT matrix-vector product with
+T_x, so the solve holds nothing of size d x d.  The preconditioned
+operator is
 (T + lambda)^(-1/2) (T_x + lambda) (T + lambda)^(-1/2) = I - E with
 ||E|| <= Upsilon / sqrt(lambda), Upsilon = ||(T + lambda)^(-1/2)(T - T_x)||,
 and the analysis keeps Upsilon small under its standing hypothesis
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,7 +78,7 @@ _NEG_EIG_TOL = 1e-12
 _PCG_RTOL = 1e-14
 _PCG_MAX_STEPS = 100
 
-# rows of the d x d operator scaled per block in crossprod
+# rows of the dense d x d operator scaled per block in toarray()
 _ROW_BLOCK = 256
 
 
@@ -168,7 +175,72 @@ def design_matrix(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     return _accel.weighted_cosine_table(x, _design_weights(problem))
 
 
-def crossprod(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+class _ToeplitzHankel:
+    """W [Toe(S) + Han(S)] W / (2 m): phi^T phi / m in factored form.
+
+    Toe(S)[j, k] = S(|j-k|) and Han(S)[j, k] = S(j+k) for the 2d-1
+    moments S, W = diag(w), and m is the divisor (1 as ``crossprod``
+    returns it; ``op / m`` gives the same matrix divided by m).
+    """
+
+    def __init__(self, s: np.ndarray, w: np.ndarray, m: float = 1.0):
+        self.s, self.w, self.m = s, w, m
+
+    def __truediv__(self, m: float) -> "_ToeplitzHankel":
+        return _ToeplitzHankel(self.s, self.w, self.m * m)
+
+    @cached_property
+    def _spectra(self):
+        # FFT length n >= 2d-1, so that neither circular product wraps;
+        # c is the Toeplitz symbol embedded in a circulant, even and so
+        # with a real spectrum
+        d = self.w.shape[0]
+        n = 1 << (2 * d - 2).bit_length()
+        c = np.zeros(n)
+        c[:d] = self.s[:d]
+        c[n - d + 1:] = self.s[d - 1:0:-1]
+        return n, np.fft.rfft(c).real, np.fft.rfft(self.s, n)
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        """The product with a d-vector p, in O(d log d).
+
+        With q = w p zero-padded to n and Q its transform, the Toeplitz
+        part is the circular convolution of c with q and the Hankel part
+        the circular correlation of S with q, whose transform is
+        FFT(S) conj(Q); both are read off entries 0..d-1.
+        """
+        n, toe, han = self._spectra
+        q = np.fft.rfft(self.w * p, n)
+        v = np.fft.irfft(toe * q + han * q.conj(), n)[:self.w.shape[0]]
+        v *= 0.5 * self.w
+        v /= self.m
+        return v
+
+    def toarray(self) -> np.ndarray:
+        """The dense d-by-d matrix, exactly symmetric.
+
+        The Toeplitz and Hankel parts are read-only strided views of the
+        moment vector, and the weights are applied in row blocks, so the
+        only d-by-d array built is the result.
+        """
+        s, w = self.s, self.w
+        d = w.shape[0]
+        # sym[d-1+n] = S(|n|) for |n| < d, so sym[d-1-j+k] = S(|j-k|)
+        sym = np.concatenate((s[d - 1:0:-1], s[:d]))
+        step = s.strides[0]
+        toe = as_strided(sym[d - 1:], shape=(d, d), strides=(-step, step),
+                         writeable=False)
+        han = as_strided(s, shape=(d, d), strides=(step, step),
+                         writeable=False)
+        out = np.add(toe, han)
+        half = 0.5 * w
+        for i in range(0, d, _ROW_BLOCK):
+            out[i:i + _ROW_BLOCK] *= np.outer(w[i:i + _ROW_BLOCK], half)
+        out /= self.m
+        return out
+
+
+def crossprod(phi: np.ndarray, w: np.ndarray) -> _ToeplitzHankel:
     """phi^T phi of a weighted cosine table phi = C diag(w), in O(m*d).
 
     C[i, j] = cos(j pi x_i) and every w_j is nonzero.  By the
@@ -179,27 +251,18 @@ def crossprod(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
     with the cosine moments S(n) = sum_i cos(n pi x_i).  The column sums
     of phi give S(0..d-1); its last column against all columns gives
     (phi^T phi)[:, d-1] = w w_{d-1} [S(d-1..0) + S(d-1..2d-2)] / 2 and so
-    the high moments.  The result is exactly symmetric.
+    the high moments.
 
-    The Toeplitz and Hankel parts are read-only strided views of the
-    moment vector, and the weights are applied in row blocks, so the
-    only d-by-d array built is the result.
+    The result stays in that factored form (``_ToeplitzHankel``): the
+    moments, the weights and a divisor, set by ``crossprod(phi, w) / m``.
+    Its ``@`` is an FFT matrix-vector product in O(d log d); its
+    ``toarray()`` builds the dense, exactly symmetric matrix.
     """
     d = w.shape[0]
     s = np.empty(2 * d - 1)
     s[:d] = phi.sum(axis=0) / w
     s[d - 1:] = 2.0 * (phi.T @ phi[:, d - 1]) / (w * w[d - 1]) - s[d - 1::-1]
-    # sym[d-1+n] = S(|n|) for |n| < d, so sym[d-1-j+k] = S(|j-k|)
-    sym = np.concatenate((s[d - 1:0:-1], s[:d]))
-    step = s.strides[0]
-    toe = as_strided(sym[d - 1:], shape=(d, d), strides=(-step, step),
-                     writeable=False)
-    han = as_strided(s, shape=(d, d), strides=(step, step), writeable=False)
-    out = np.add(toe, han)
-    half = 0.5 * w
-    for i in range(0, d, _ROW_BLOCK):
-        out[i:i + _ROW_BLOCK] *= np.outer(w[i:i + _ROW_BLOCK], half)
-    return out
+    return _ToeplitzHankel(s, w)
 
 
 def gram(phi: np.ndarray) -> np.ndarray:
@@ -210,9 +273,8 @@ def gram(phi: np.ndarray) -> np.ndarray:
 def empirical_cov(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     """T_x = (1/m) Phi^T Phi (symmetric positive semidefinite)."""
     x = np.asarray(x, dtype=np.float64)
-    T = crossprod(design_matrix(problem, x), _design_weights(problem))
-    T /= x.size
-    return T
+    phi = design_matrix(problem, x)
+    return (crossprod(phi, _design_weights(problem)) / x.size).toarray()
 
 
 def _clamped_eigh(S: np.ndarray, kappa_sq: float):
@@ -238,12 +300,13 @@ def _shifted_solve(S: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(S, b)
 
 
-def _pcg(T: np.ndarray, lam: float, b: np.ndarray, t: np.ndarray):
+def _pcg(T, lam: float, b: np.ndarray, t: np.ndarray):
     """(u, steps) solving (T + lam I) u = b by CG preconditioned with
     (t + lam)^-1, from u = b / (t + lam), until ||r|| <= _PCG_RTOL ||b||.
 
-    u is None when _PCG_MAX_STEPS steps do not get there.  T is left
-    unchanged.
+    T is anything with a symmetric ``T @ p``: a dense array or the
+    factored operator of ``crossprod``.  u is None when _PCG_MAX_STEPS
+    steps do not get there.  T is left unchanged.
     """
     pinv = 1.0 / (t + lam)
     u = pinv * b
@@ -278,10 +341,13 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     conjugate gradients preconditioned with (T + lambda I)^-1,
     T = diag(t_j) the population operator, started at
     (T + lambda I)^-1 B_x^* y and stopped at a residual of 1e-14 times
-    the right-hand side.  Under N(lambda) <= m lambda the preconditioned
-    operator is within Upsilon / sqrt(lambda) of the identity, so it
-    takes a few steps (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not
-    suffice, numpy's LU solve of the same system answers
+    the right-hand side.  T_x stays in the factored Toeplitz-plus-Hankel
+    form of ``crossprod``, so each step is an O(d log d) FFT
+    matrix-vector product and no d-by-d matrix is built.  Under
+    N(lambda) <= m lambda the preconditioned operator is within
+    Upsilon / sqrt(lambda) of the identity, so it takes a few steps
+    (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not suffice, the dense
+    T_x is assembled and numpy's LU solve of the same system answers
     (``lu_fallback``).  When m < d, u = Phi^T (Phi Phi^T / m + lambda I)^-1
     y / m by LU.  The other filters act through the eigenvectors of T_x
     (m >= d) or of the m-by-m Gram matrix (m < d).  Filters that need
@@ -303,15 +369,14 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     steps, fallback = 0, False
 
     if m >= d:
-        T = crossprod(phi, _design_weights(problem))
-        T /= m
+        T = crossprod(phi, _design_weights(problem)) / m
         bvec = phi.T @ y / m
         if tikhonov:
             u, steps = _pcg(T, lam, bvec, problem.t)
             if u is None:
-                u, fallback = _shifted_solve(T, lam, bvec), True
+                u, fallback = _shifted_solve(T.toarray(), lam, bvec), True
         else:
-            evals, V = _clamped_eigh(T, problem.kappa_sq)
+            evals, V = _clamped_eigh(T.toarray(), problem.kappa_sq)
             g = filter_values(work, lam, evals, prescale=c)
             u = V @ (g * (V.T @ bvec))
     elif m * d <= _SVD_DIRECT_LIMIT:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import scalereg
 from scalereg.cli import main
 from scalereg.reporting import read_json, read_rate_csv
 
@@ -194,3 +198,28 @@ def test_runtime_error_maps_to_exit_one(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", doc)
     assert main(["rate", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_rate_run_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: a rate run through the CLI, which
+    # takes the SVD and the primal PCG routes and writes the manifest,
+    # must not load it
+    cfg = dict(SMALL_RATE, m_grid=[16, 64, 512], trials_per_m=10)
+    code = (
+        "import sys\n"
+        "from scalereg.cli import main\n"
+        f"rc = main(['rate', '--config', {_write(tmp_path, 'c.json', cfg)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(n for n in sys.modules if n.startswith('scipy')))\n"
+    )
+    # the child imports the same copy of the package as this process
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(scalereg.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=pkg_root + (os.pathsep + inherited if inherited else ""))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    doc = read_json(tmp_path / "out" / "manifest.json")
+    assert doc["versions"]["scipy"] == pytest.importorskip("scipy").__version__

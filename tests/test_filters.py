@@ -21,7 +21,6 @@ from scalereg import (
     power_fn,
     residual,
     residual_values,
-    spectrum_prescale,
 )
 
 LAMBDAS = st.floats(min_value=1e-6, max_value=1.0)
@@ -169,7 +168,6 @@ def test_spectrum_rescaling_routes():
 
     lw, c = for_spectrum(make_filter("landweber"), kappa_sq=4.0)
     assert c == 4.0 and lw.t_max == 1.0
-    assert spectrum_prescale(lw, kappa_sq=4.0) == 4.0
     # lambda stays in filter units: g(t) = (1/c) g~_lambda(t/c)
     g = filter_values(lw, lam, spectrum, prescale=c)
     nu = landweber_iterations(lam)

@@ -67,7 +67,7 @@ def test_crossprod_and_gram_match_dense_products():
     prob = _problem(d=7)
     x = np.random.default_rng(2).random(13)
     phi = design_matrix(prob, x)
-    np.testing.assert_allclose(crossprod(phi, _design_weights(prob)),
+    np.testing.assert_allclose(crossprod(phi, _design_weights(prob)).toarray(),
                                phi.T @ phi, atol=1e-12)
     G = gram(phi)
     assert np.array_equal(G, G.T)
@@ -95,7 +95,7 @@ def test_crossprod_from_moments_matches_direct_cos(d, below):
     w = _design_weights(prob)
     direct = np.cos(np.pi * np.outer(x, np.arange(d))) * w
     want = direct.T @ direct
-    got = crossprod(design_matrix(prob, x), w)
+    got = crossprod(design_matrix(prob, x), w).toarray()
     assert np.array_equal(got, got.T)
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel <= 1e-13, f"relative deviation {rel} at m={m}, d={d}"
@@ -117,7 +117,39 @@ def test_crossprod_equals_the_dense_toeplitz_hankel_build(d):
     want = toeplitz(s[:d])
     want += hankel(s[:d], s[d - 1:])
     want *= np.outer(w, 0.5 * w)
-    assert np.array_equal(crossprod(phi, w), want)
+    assert np.array_equal(crossprod(phi, w).toarray(), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 300, 2000])
+@pytest.mark.parametrize("below", [True, False], ids=["m_below_d", "m_above_d"])
+def test_operator_matvec_matches_dense_and_direct_cos(d, below):
+    # the FFT product of the factored T_x against its own dense form and
+    # against Phi^T Phi p / m from direct cosines, with x = 0 and x = 1
+    # among the points
+    m = max(d // 3, 1) if below else d + 7
+    prob = _moment_problem(d)
+    rng = np.random.default_rng(d + 2)
+    x = rng.random(m)
+    x[0], x[-1] = 0.0, 1.0
+    w = _design_weights(prob)
+    T = crossprod(design_matrix(prob, x), w) / m
+    direct = np.cos(np.pi * np.outer(x, np.arange(d))) * w
+    for p in (rng.standard_normal(d), np.ones(d)):
+        got = T @ p
+        for want in (T.toarray() @ p, direct.T @ (direct @ p) / m):
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= 1e-13, f"relative deviation {rel} at m={m}, d={d}"
+
+
+def test_operator_divisor_is_applied_last():
+    # (op / m).toarray() is the assembled phi^T phi divided by m
+    prob = _problem(d=9)
+    x = np.random.default_rng(4).random(20)
+    op = crossprod(design_matrix(prob, x), _design_weights(prob))
+    dense = op.toarray()
+    dense /= 20
+    assert np.array_equal((op / 20).toarray(), dense)
+    assert np.array_equal(empirical_cov(prob, x), dense)
 
 
 def _regular_cell(m, d, seed):
@@ -155,6 +187,23 @@ def test_primal_pcg_falls_back_to_the_lu_solve_at_its_cap(monkeypatch):
     want = sampling._shifted_solve(empirical_cov(prob, ds.x), lam,
                                    phi.T @ ds.y / m)
     assert np.array_equal(est.u_hat, want)
+
+
+def test_primal_tikhonov_assembles_no_dense_operator(monkeypatch):
+    # PCG runs on the factored T_x; only the LU fallback builds the
+    # d x d matrix
+    def refuse(self):
+        raise AssertionError("toarray() called")
+
+    monkeypatch.setattr(sampling._ToeplitzHankel, "toarray", refuse)
+    m, d = 300, 64
+    prob, ds, lam = _regular_cell(m, d, seed=3)
+    filt = make_filter("tikhonov")
+    est = estimate(prob, ds, filt, lam)
+    assert est.cg_steps > 0 and not est.lu_fallback
+    monkeypatch.setattr(sampling, "_PCG_MAX_STEPS", 1)
+    with pytest.raises(AssertionError, match="toarray"):
+        estimate(prob, ds, filt, lam)
 
 
 def test_midpoint_quadrature_diagonalizes_covariance():
