@@ -8,7 +8,7 @@ from .diagnostics import (QUANTITIES, BoundCheckReport, bound_appendix,
                           bound_constants, check_heinz_bound,
                           check_interpolation, check_lemma_envelope,
                           compute_lambda_q, compute_psi, compute_tx_deviation,
-                          compute_upsilon, compute_xi, montecarlo_coverage,
+                          compute_upsilon, compute_xi,
                           montecarlo_coverage_batch, xi_from_operator)
 from .distance import (DistanceCurve, DistanceResult, distance_bound,
                        distance_curve, distance_fn, distance_fn_q,
@@ -22,7 +22,7 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       for_spectrum, landweber_iterations, make_filter,
                       residual, residual_values)
 from .harness import (CASES, ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
-                      RateReport, config_hash, fit_rate, run_rate_experiment,
+                      RateReport, config_hash, run_rate_experiment,
                       theoretical_exponent, truncation_dim)
 from .indexfn import (IDENTITY, IndexFunction, check_index_function,
                       check_sublinear, power_fn)
@@ -32,7 +32,7 @@ from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
 from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
                      midpoint_grid, problem_from_mercer)
 from .model import (NoiseModel, SmoothnessSpec, SpectralProblem,
-                    build_power_problem, eval_basis, forward_eval,
+                    build_power_problem, forward_eval,
                     gaussian_noise, hilbert_scale_norm, problem_from_dict,
                     problem_to_dict)
 from .sampling import (Dataset, Estimate, design_matrix, empirical_cov,

@@ -434,6 +434,8 @@ def main(argv=None) -> int:
         return EX_USAGE
 
     try:
+        if args.threads is not None and args.threads < 1:
+            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
         if command in _NEEDS_CONFIG:
             if args.config is None:
                 raise _UsageError(f"{command} requires --config")

@@ -11,10 +11,13 @@ The error analysis rests on a handful of sample-dependent quantities
     XI_ZETA    the same for a general nondecreasing sub-linear zeta
 
 Each quantity has a closed-form bound holding with confidence 1 - eta
-(``bound_appendix``); ``montecarlo_coverage`` draws seeded trials and
-reports the fraction of trials below the bound.  The deterministic
-operator inequalities (interpolation, the Heinz-type consequence, and
-the residual-envelope lemma) get direct spectral checks.
+(``bound_appendix``); ``montecarlo_coverage_batch`` draws seeded trials
+and reports the fraction of trials below the bound.  One helper,
+``_design_values``, computes the quantities of a given design, for the
+Monte Carlo trials and the ``compute_*`` functions alike.  The
+deterministic operator inequalities (interpolation, the Heinz-type
+consequence, and the residual-envelope lemma) get direct spectral
+checks.
 """
 
 from __future__ import annotations
@@ -75,26 +78,19 @@ class BoundCheckReport:
 def compute_psi(problem: SpectralProblem, dataset: Dataset,
                 lam: float) -> float:
     """|| (T + lam I)^{-1/2} Bx^*(g(x) - y) ||."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    phi = design_matrix(problem, dataset.x)
     resid = forward_eval(problem, problem.f_true, dataset.x) - dataset.y
-    b = phi.T @ resid / dataset.m
-    return float(np.linalg.norm(b / np.sqrt(problem.t + lam)))
+    return _design_values(problem, dataset.x, lambda: resid, lam,
+                          ("PSI",))[0]["PSI"]
 
 
 def compute_upsilon(problem: SpectralProblem, x, lam: float) -> float:
     """|| (T + lam I)^{-1/2} (T - T_x) ||_HS (Frobenius on d x d)."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    dev = np.diag(problem.t) - empirical_cov(problem, x)
-    dev /= np.sqrt(problem.t + lam)[:, None]
-    return float(np.linalg.norm(dev))
+    return _design_values(problem, x, None, lam, ("UPSILON",))[0]["UPSILON"]
 
 
 def compute_tx_deviation(problem: SpectralProblem, x) -> float:
     """|| T - T_x ||_HS."""
-    return float(np.linalg.norm(np.diag(problem.t) - empirical_cov(problem, x)))
+    return _design_values(problem, x, None, None, ("TX_DEV",))[0]["TX_DEV"]
 
 
 def compute_lambda_q(problem: SpectralProblem, x, lam: float) -> float:
@@ -104,13 +100,8 @@ def compute_lambda_q(problem: SpectralProblem, x, lam: float) -> float:
     design (the forward map without the inverse scale), and L_x its
     empirical counterpart; algebraically L_x = diag(l) T_x diag(l).
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    l = problem.l
-    lx = (l[:, None] * empirical_cov(problem, x)) * l[None, :]
-    dev = np.diag(problem.lnu_eigs) - lx
-    dev /= np.sqrt(problem.lnu_eigs + lam)[:, None]
-    return float(np.linalg.norm(dev))
+    return _design_values(problem, x, None, lam,
+                          ("LAMBDA_Q",))[0]["LAMBDA_Q"]
 
 
 def _check_zeta(zeta: IndexFunction, t_max: float) -> IndexFunction:
@@ -213,10 +204,25 @@ def bound_appendix(quantity: str, lam: float, m: int, eta: float,
                      f"{QUANTITIES}")
 
 
-def _trial_values(problem: SpectralProblem, m: int, lam: float,
-                  trial_seed: int, tags, zeta_fns: dict) -> dict:
+def _design_values(problem: SpectralProblem, x, noise, lam, tags,
+                   zeta_fns: Optional[dict] = None):
+    """(values, eig): the quantities named in ``tags`` for the design x.
+
+    ``noise()`` returns the noise vector that PSI weighs (y - g(x), up
+    to sign).  It is called only for PSI, after T_x is built, where the
+    coverage trials have always drawn their noise: the order of the
+    per-trial allocations decides which of two glibc heap layouts (about
+    52 or 57 MB at peak) a long coverage run ends in.  ``noise`` may be
+    None without PSI, and ``lam`` None with TX_DEV alone.
+    ``zeta_fns`` maps further tags to index functions zeta, each tag
+    getting the Xi of its zeta; then ``eig`` is the eigensystem (w, V)
+    of T_x, else None.
+    """
+    if lam is not None and not lam > 0:
+        raise ValueError("lambda must be positive")
+    x = np.asarray(x, dtype=np.float64)
     t = problem.t
-    x = _stream(trial_seed, 0).random(m)
+    m = x.size
     phi = design_matrix(problem, x)
     tx = (crossprod(phi, _design_weights(problem)) / m).toarray()
     out = {}
@@ -232,14 +238,24 @@ def _trial_values(problem: SpectralProblem, m: int, lam: float,
         out["LAMBDA_Q"] = float(np.linalg.norm(
             ldev / np.sqrt(problem.lnu_eigs + lam)[:, None]))
     if "PSI" in tags:
-        eps = problem.noise.sigma * _stream(trial_seed, 1).standard_normal(m)
-        b = phi.T @ eps / m
+        b = phi.T @ noise() / m
         out["PSI"] = float(np.linalg.norm(b / np.sqrt(t + lam)))
+    eig = None
     if zeta_fns:
-        w, V = _clamped_eigh(tx, problem.kappa_sq)
+        eig = w, V = _clamped_eigh(tx, problem.kappa_sq)
         for tag, fn in zeta_fns.items():
             out[tag] = _xi_given_eig(w, V, t, lam, fn)
-    return out
+    return out, eig
+
+
+def _trial_values(problem: SpectralProblem, m: int, lam: float,
+                  trial_seed: int, tags, zeta_fns: dict) -> dict:
+    x = _stream(trial_seed, 0).random(m)
+
+    def noise():
+        return problem.noise.sigma * _stream(trial_seed, 1).standard_normal(m)
+
+    return _design_values(problem, x, noise, lam, tags, zeta_fns)[0]
 
 
 def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
@@ -297,17 +313,6 @@ def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
     return reports
 
 
-def montecarlo_coverage(problem: SpectralProblem, quantity: str, lam: float,
-                        m: int, eta: float, trials: int, seed: int, *,
-                        s: float = 0.5,
-                        zeta: Optional[IndexFunction] = None,
-                        threads: Optional[int] = None) -> BoundCheckReport:
-    """Draw `trials` independent datasets and compare against the bound."""
-    return montecarlo_coverage_batch(
-        problem, [quantity], lam, m, [eta], trials, seed,
-        s=s, zeta=zeta, threads=threads)[0]
-
-
 def check_interpolation(problem: SpectralProblem, f, t_exp: float,
                         r_exp: float, s_exp: float) -> dict:
     """Scale-norm interpolation: the middle norm is bounded by the
@@ -350,15 +355,15 @@ def check_lemma_envelope(problem: SpectralProblem, dataset: Dataset,
     case, and Lam = compute_lambda_q.  Needs an exact-link power problem
     so that rho is known.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
     sm = problem.smoothness
     if sm is None:
         raise ValueError("check_lemma_envelope needs a problem with a "
                          "smoothness spec (known link function)")
     a = sm.a_link
-    tx = empirical_cov(problem, dataset.x)
-    w, V = _clamped_eigh(tx, problem.kappa_sq)
+    vals, (w, V) = _design_values(
+        problem, dataset.x, None, lam, ("LAMBDA_Q",),
+        {"xi_rho": power_fn(a), "xi_ups": power_fn(1.0 - a),
+         "xi": power_fn(1.0)})
 
     work, c = for_spectrum(filt, problem.kappa_sq)
     rv = residual_values(work, lam, w, prescale=c)
@@ -366,15 +371,11 @@ def check_lemma_envelope(problem: SpectralProblem, dataset: Dataset,
     mat = ((V * rv) @ V.T) * (l[None, :] / l[:, None])
     lhs = float(np.linalg.norm(mat, 2))
 
-    t = problem.t
-    xi_rho = _xi_given_eig(w, V, t, lam, power_fn(a))
-    xi_ups = _xi_given_eig(w, V, t, lam, power_fn(1.0 - a))
-    xi_id = _xi_given_eig(w, V, t, lam, power_fn(1.0))
-    lam_q = compute_lambda_q(problem, dataset.x, lam)
+    lam_q = vals["LAMBDA_Q"]
     rho_lam = lam ** a
     rhs = 1.0 + (filt.B + filt.D) * (
-        xi_rho * xi_ups
-        + xi_id * rho_lam * (rho_lam + 1.0) * lam_q / math.sqrt(lam))
+        vals["xi_rho"] * vals["xi_ups"]
+        + vals["xi"] * rho_lam * (rho_lam + 1.0) * lam_q / math.sqrt(lam))
     return {"lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1.0 + _ENVELOPE_SLACK),
-            "xi_rho": xi_rho, "xi_ups": xi_ups, "xi": xi_id,
-            "lambda_q": lam_q}
+            "xi_rho": vals["xi_rho"], "xi_ups": vals["xi_ups"],
+            "xi": vals["xi"], "lambda_q": lam_q}

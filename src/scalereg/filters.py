@@ -149,17 +149,13 @@ def filter_values(filt: FilterFamily, lam: float, spectrum,
     the spectrum by c and unscales the output: g(t) = (1/c) g~(t/c).
     """
     t = np.asarray(spectrum, dtype=np.float64)
-    if prescale != 1.0:
-        return apply_filter(filt, lam, t / prescale) / prescale
-    return apply_filter(filt, lam, t)
+    return apply_filter(filt, lam, t / prescale) / prescale
 
 
 def residual_values(filt: FilterFamily, lam: float, spectrum,
                     prescale: float = 1.0) -> np.ndarray:
     t = np.asarray(spectrum, dtype=np.float64)
-    if prescale != 1.0:
-        return residual(filt, lam, t / prescale)
-    return residual(filt, lam, t)
+    return residual(filt, lam, t / prescale)
 
 
 def for_spectrum(filt: FilterFamily,

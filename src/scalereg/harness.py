@@ -19,7 +19,7 @@ import numpy as np
 
 from .filters import check_covering, make_filter
 from .indexfn import IndexFunction, from_config, power_fn, to_config
-from .lambda_rules import LambdaRule
+from .lambda_rules import LambdaRule, _rate_regime
 from .model import SpectralProblem, build_power_problem
 from .sampling import _map_trials, errors, estimate, sample_dataset
 
@@ -49,29 +49,19 @@ def theoretical_exponent(a: float, b: float, r: float, q: float,
                          case: str) -> float:
     """Rate exponent of m (negative) for the power-type benchmark.
 
-    oversmoothing (r <= 1):        -a r / (b + 1)
-    regular, a q >= a r + (b+1)/2: -r / (2 (q - 1))
-    regular, otherwise:            -a r / (2 a r + b + 1 - 2 a)
+    oversmoothing (r <= 1):  -a r / (b + 1)
+    regular, "regular_q":    -r / (2 (q - 1))
+    regular, "regular_r":    -a r / (2 a r + b + 1 - 2 a)
+
+    with the regimes of ``lambda_rules._rate_regime``, which also checks
+    the parameters.
     """
-    if not 0 < a <= 0.5:
-        raise ValueError("a must be in (0, 1/2]")
-    if b < 0:
-        raise ValueError("b must be >= 0")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if case == "oversmoothing":
-        if r > 1.0:
-            raise ValueError("oversmoothing exponent requires r <= 1")
+    regime = _rate_regime(a, b, r, q, case)
+    if regime == "oversmoothing":
         return -a * r / (b + 1.0)
-    if case == "regular":
-        if not 1.0 <= r <= q:
-            raise ValueError("regular exponent requires 1 <= r <= q")
-        if q <= 1.0:
-            raise ValueError("regular exponent requires q > 1")
-        if a * q >= a * r + (b + 1.0) / 2.0:
-            return -r / (2.0 * (q - 1.0))
-        return -a * r / (2.0 * a * r + b + 1.0 - 2.0 * a)
-    raise ValueError("case must be 'oversmoothing' or 'regular'")
+    if regime == "regular_q":
+        return -r / (2.0 * (q - 1.0))
+    return -a * r / (2.0 * a * r + b + 1.0 - 2.0 * a)
 
 
 @dataclass(frozen=True)
@@ -188,19 +178,6 @@ def _wls_line(xs, ys, weights):
     s2 = float(w @ resid ** 2) / dof
     cov = np.linalg.inv(xtwx) * s2
     return float(beta[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
-
-
-def fit_rate(points) -> dict:
-    """OLS slope of log(error) vs log(m); needs >= 4 positive points."""
-    points = list(points)
-    if len(points) < 4:
-        raise ValueError("need at least 4 points to fit a rate")
-    ms = np.array([p[0] for p in points], dtype=np.float64)
-    es = np.array([p[1] for p in points], dtype=np.float64)
-    if np.any(es <= 0):
-        raise ValueError("all error values must be positive")
-    slope, stderr = _wls_line(np.log(ms), np.log(es), np.ones(len(ms)))
-    return {"slope": slope, "stderr": stderr}
 
 
 def _covering_target(config: ExperimentConfig) -> IndexFunction:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -111,37 +111,53 @@ def lambda_balance_general(spectrum_or_fn, spec: SmoothnessSpec,
     return _log_bisect(h, LAMBDA_FLOOR, 1.0)
 
 
-def lambda_power_table(a: float, b: float, r: float, q: float, m: int,
-                       case: str) -> float:
-    """Closed-form lambda(m) of the rate table.
+def _rate_regime(a: float, b: float, r: float, q: float, case: str) -> str:
+    """Check (a, b, r, q, case) and name the regime of the rate table.
 
-    oversmoothing (r <= 1):  lambda = m^(-1/(b+1))
-    regular (1 <= r <= q):   lambda = m^(-1/(2a(q-1))) when
-        a q >= a r + (b+1)/2 (first regime, also chosen at the tie),
-        else m^(-1/(2 a r + b + 1 - 2a)).
+    "oversmoothing" for the oversmoothing case (0 < r <= 1).  In the
+    regular case (1 <= r <= q, q > 1), "regular_q" when
+    a q >= a r + (b+1)/2 (the benchmark exponent q sets the rate, also
+    chosen at the tie), else "regular_r".
     """
     if not 0 < a <= 0.5:
         raise ValueError("a must be in (0, 1/2]")
     if b < 0:
         raise ValueError("b must be >= 0")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if r <= 0:
+        raise ValueError("r must be positive")
     if case == "oversmoothing":
         if r > 1.0:
-            raise ValueError("oversmoothing table requires r <= 1 "
+            raise ValueError("oversmoothing case requires r <= 1 "
                              "(benchmark exponent above the scale)")
-        lam = float(m) ** (-1.0 / (b + 1.0))
-    elif case == "regular":
+        return case
+    if case == "regular":
         if not 1.0 <= r <= q:
-            raise ValueError("regular table requires 1 <= r <= q")
+            raise ValueError("regular case requires 1 <= r <= q")
         if q <= 1.0:
-            raise ValueError("regular table requires q > 1")
+            raise ValueError("regular case requires q > 1")
         if a * q >= a * r + (b + 1.0) / 2.0:
-            lam = float(m) ** (-1.0 / (2.0 * a * (q - 1.0)))
-        else:
-            lam = float(m) ** (-1.0 / (2.0 * a * r + b + 1.0 - 2.0 * a))
+            return "regular_q"
+        return "regular_r"
+    raise ValueError("case must be 'oversmoothing' or 'regular'")
+
+
+def lambda_power_table(a: float, b: float, r: float, q: float, m: int,
+                       case: str) -> float:
+    """Closed-form lambda(m) of the rate table.
+
+    oversmoothing (r <= 1):  lambda = m^(-1/(b+1))
+    regular (1 <= r <= q):   lambda = m^(-1/(2a(q-1))) in the regime
+        "regular_q" of ``_rate_regime``, else m^(-1/(2 a r + b + 1 - 2a)).
+    """
+    regime = _rate_regime(a, b, r, q, case)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if regime == "oversmoothing":
+        lam = float(m) ** (-1.0 / (b + 1.0))
+    elif regime == "regular_q":
+        lam = float(m) ** (-1.0 / (2.0 * a * (q - 1.0)))
     else:
-        raise ValueError("case must be 'oversmoothing' or 'regular'")
+        lam = float(m) ** (-1.0 / (2.0 * a * r + b + 1.0 - 2.0 * a))
     return min(max(lam, LAMBDA_FLOOR), 1.0)
 
 

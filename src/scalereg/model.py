@@ -15,7 +15,6 @@ bias is negligible against sampling error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -23,8 +22,6 @@ from typing import Optional
 import numpy as np
 
 from . import _accel
-
-SQRT2 = float(np.sqrt(2.0))
 
 V_PATTERNS = ("constant", "alternating", "seeded")
 
@@ -145,9 +142,6 @@ class SpectralProblem:
         e = self.lnu_eigs
         return float(e[0] + 2.0 * e[1:].sum())
 
-    def eval_basis(self, j: int, x):
-        return eval_basis(self.basis, j, x, d=self.d)
-
 
 def build_power_problem(s: float, a_link: float, r: float, q: float,
                         R_dagger: float, d: int, sigma: float,
@@ -194,15 +188,15 @@ def build_power_problem(s: float, a_link: float, r: float, q: float,
                            noise=gaussian_noise(sigma), smoothness=spec)
 
 
-def eval_basis(basis: str, j: int, x, d: Optional[int] = None):
-    """Value of the j-th (1-based) basis function at x."""
-    if basis != "cosine":
-        raise ValueError(f"unsupported basis: {basis!r}")
-    if j < 1 or (d is not None and j > d):
-        raise IndexError(f"basis index {j} out of range")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.ones_like(x) if j == 1 else SQRT2 * np.cos((j - 1) * np.pi * x)
-    return float(out) if out.ndim == 0 else out
+def _cosine_coef(c: np.ndarray) -> np.ndarray:
+    """Coefficients in the basis e_j as coefficients of cos((j-1) pi x).
+
+    The basis normalization: c_1 stays, and c_j for j >= 2 takes the
+    sqrt(2) of e_j.
+    """
+    out = np.sqrt(2.0) * c
+    out[0] = c[0]
+    return out
 
 
 def forward_eval(problem: SpectralProblem, f: np.ndarray, x):
@@ -210,9 +204,8 @@ def forward_eval(problem: SpectralProblem, f: np.ndarray, x):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (problem.d,):
         raise ValueError(f"f must have length d={problem.d}")
-    coef = problem.a * f
-    coef = np.concatenate(([coef[0]], SQRT2 * coef[1:]))
-    return _accel.clenshaw_cosine(np.asarray(x, dtype=np.float64), coef)
+    return _accel.clenshaw_cosine(np.asarray(x, dtype=np.float64),
+                                  _cosine_coef(problem.a * f))
 
 
 def hilbert_scale_norm(problem: SpectralProblem, f: np.ndarray,
@@ -221,8 +214,6 @@ def hilbert_scale_norm(problem: SpectralProblem, f: np.ndarray,
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (problem.d,):
         raise ValueError(f"f must have length d={problem.d}")
-    if s_exp == 0.0:
-        return float(np.linalg.norm(f))
     return float(np.linalg.norm(problem.l ** s_exp * f))
 
 

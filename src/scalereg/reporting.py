@@ -188,19 +188,6 @@ def read_rate_csv(path) -> dict:
     return {"per_m": per_m, **footer}
 
 
-def write_dataset_csv(path, dataset) -> None:
-    """Raw sample export, x,y with 15 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y\n")
-        for xi, yi in zip(dataset.x, dataset.y):
-            fh.write(f"{xi:.15g},{yi:.15g}\n")
-
-
-def estimate_to_dict(est) -> dict:
-    return {"lambda": est.lam, "filter": est.filter_id,
-            "f_hat": [float(v) for v in est.f_hat]}
-
-
 # ------------------------------------------------------------ manifest
 
 @cache

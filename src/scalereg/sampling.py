@@ -62,7 +62,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import _accel
 from .filters import FilterFamily, filter_values, for_spectrum
 from .indexfn import IndexFunction
-from .model import SQRT2, SpectralProblem, forward_eval
+from .model import SpectralProblem, _cosine_coef, forward_eval
 
 DESIGNS = ("random_uniform", "midpoint_grid")
 
@@ -161,12 +161,9 @@ def sample_dataset(problem: SpectralProblem, m: int, seed: int,
 
 
 def _design_weights(problem: SpectralProblem) -> np.ndarray:
-    # the column weights of design_matrix, Phi = C diag(w): a_j / l_j,
-    # with the sqrt(2) of the non-constant cosine modes folded in
-    w = problem.a / problem.l
-    out = SQRT2 * w
-    out[0] = w[0]
-    return out
+    # the column weights of design_matrix, Phi = C diag(w): a_j / l_j
+    # in the basis e_j, so with its normalization folded in
+    return _cosine_coef(problem.a / problem.l)
 
 
 def design_matrix(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:

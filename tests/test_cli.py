@@ -71,6 +71,18 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
     assert "/lambda_rule/kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rate", "bounds"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_usage(tmp_path, capsys, command, threads):
+    # rejected before any work starts, so no output directory appears
+    cfg = _write(tmp_path, "cfg.json", SMALL_RATE)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--threads", threads]) == 64
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rate_end_to_end(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", SMALL_RATE)
     out = tmp_path / "out"

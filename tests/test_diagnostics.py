@@ -20,13 +20,14 @@ from scalereg import (
     empirical_cov,
     lambda_balance_effdim,
     make_filter,
-    montecarlo_coverage,
     montecarlo_coverage_batch,
     power_fn,
     sample_dataset,
     xi_from_operator,
 )
+from scalereg.diagnostics import _trial_values
 from scalereg.model import SpectralProblem, gaussian_noise
+from scalereg.sampling import _stream
 
 
 def _problem(d=16, sigma=0.05):
@@ -66,6 +67,38 @@ def test_psi_single_mode_value():
     eps = ds.y - 1.0  # g(x) = 1 for the constant mode
     want = abs(eps.mean()) / np.sqrt(1.0 + lam)
     assert compute_psi(noisy, ds, lam) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("s, a, d, m", [(1.0, 0.5, 16, 200),
+                                         (0.5, 0.25, 40, 64),
+                                         (1.0, 0.25, 24, 300)])
+def test_compute_functions_equal_the_coverage_trial(s, a, d, m):
+    # each quantity has one implementation: the public functions on the
+    # design of a coverage trial reproduce that trial's values
+    prob = build_power_problem(s=s, a_link=a, r=1.0, q=2.0, R_dagger=1.0,
+                               d=d, sigma=0.1)
+    lam, seed = 0.03, 123456789
+    trial = _trial_values(prob, m, lam, seed,
+                          {"PSI", "UPSILON", "LAMBDA_Q", "TX_DEV"}, {})
+    x = _stream(seed, 0).random(m)
+    assert compute_upsilon(prob, x, lam) == trial["UPSILON"]
+    assert compute_tx_deviation(prob, x) == trial["TX_DEV"]
+    assert compute_lambda_q(prob, x, lam) == trial["LAMBDA_Q"]
+    # the trial weighs its drawn noise, compute_psi the rounded g(x) - y
+    ds = sample_dataset(prob, m, seed=seed)
+    np.testing.assert_array_equal(ds.x, x)
+    assert compute_psi(prob, ds, lam) == pytest.approx(trial["PSI"],
+                                                       rel=1e-12, abs=0.0)
+
+
+def test_compute_functions_reject_bad_lambda():
+    prob = _problem(d=8)
+    x = np.linspace(0.05, 0.95, 16)
+    for fn in (compute_upsilon, compute_lambda_q):
+        with pytest.raises(ValueError, match="lambda"):
+            fn(prob, x, 0.0)
+    with pytest.raises(ValueError, match="lambda"):
+        compute_psi(prob, sample_dataset(prob, 16, seed=0), -1.0)
 
 
 def test_xi_scalar_oracle():
@@ -156,10 +189,10 @@ def test_coverage_smoke_all_quantities_covered():
         assert doc["lambda"] == lam and doc["passed"] is True
 
 
-def test_coverage_single_quantity_wrapper():
+def test_coverage_of_noiseless_psi_is_exact():
     prob = _problem(d=32, sigma=0.0)
-    rep = montecarlo_coverage(prob, "PSI", 0.05, 256, eta=0.1, trials=100,
-                              seed=0)
+    [rep] = montecarlo_coverage_batch(prob, ["PSI"], 0.05, 256, etas=[0.1],
+                                      trials=100, seed=0)
     # noiseless data: psi is exactly zero in every trial
     assert rep.empirical_quantile == 0.0 and rep.coverage == 1.0
 
@@ -257,6 +290,7 @@ def test_lemma_envelope_frozen_case():
     assert rep["xi_ups"] == pytest.approx(1.140625650293, rel=1e-9)
     assert rep["xi"] == pytest.approx(1.336503047964, rel=1e-9)
     assert rep["lambda_q"] == pytest.approx(0.385491748439, rel=1e-9)
+    assert rep["lambda_q"] == compute_lambda_q(prob, ds.x, lam)
 
 
 def test_lemma_envelope_trivial_on_midpoint_design():

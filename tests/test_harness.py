@@ -8,11 +8,12 @@ from scalereg import (
     LambdaRule,
     PowerProblemSpec,
     config_hash,
-    fit_rate,
+    lambda_power_table,
     run_rate_experiment,
     theoretical_exponent,
     truncation_dim,
 )
+from scalereg.harness import _wls_line
 
 
 def _small_config(**kw):
@@ -56,19 +57,31 @@ def test_theoretical_exponent_validations():
         theoretical_exponent(0.5, 0.5, 0.5, 1.0, "saturated")
 
 
-def test_fit_rate_recovers_exact_power_law():
-    ms = [100, 200, 400, 800, 1600]
-    pts = [(m, 3.0 * m ** -0.35) for m in ms]
-    fit = fit_rate(pts)
-    assert fit["slope"] == pytest.approx(-0.35, abs=1e-12)
-    assert fit["stderr"] == pytest.approx(0.0, abs=1e-10)
+@pytest.mark.parametrize("a, b, r, q, case", [
+    (0.5, 0.5, 0.5, 1.0, "oversmoothing"),
+    (0.25, 0.0, 1.0, 1.5, "oversmoothing"),
+    # regular, a q >= a r + (b+1)/2 (the tie included) and below it
+    (0.5, 0.5, 1.0, 4.0, "regular"),
+    (0.5, 0.5, 1.0, 2.5, "regular"),
+    (0.5, 0.5, 1.2, 2.6, "regular"),
+    (0.25, 0.5, 2.0, 4.0, "regular"),
+    (0.25, 0.5, 1.0, 4.0, "regular"),
+])
+def test_exponent_and_lambda_table_share_the_regime(a, b, r, q, case):
+    # the error exponent is a r log(lambda) / log(m) on the lambda table
+    m = 10 ** 4
+    lam = lambda_power_table(a, b, r, q, m, case)
+    assert 1e-14 < lam < 1.0
+    assert theoretical_exponent(a, b, r, q, case) == pytest.approx(
+        a * r * np.log(lam) / np.log(m), rel=1e-12)
 
 
-def test_fit_rate_input_validation():
-    with pytest.raises(ValueError):
-        fit_rate([(100, 1.0), (200, 0.9), (400, 0.8)])
-    with pytest.raises(ValueError):
-        fit_rate([(100, 1.0), (200, 0.9), (400, 0.8), (800, 0.0)])
+def test_wls_line_recovers_exact_power_law():
+    ms = np.array([100, 200, 400, 800, 1600], dtype=np.float64)
+    slope, stderr = _wls_line(np.log(ms), np.log(3.0 * ms ** -0.35),
+                              np.ones(ms.size))
+    assert slope == pytest.approx(-0.35, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-10)
 
 
 def test_config_validation():

@@ -5,7 +5,6 @@ from scalereg import (
     NoiseModel,
     SmoothnessSpec,
     build_power_problem,
-    eval_basis,
     forward_eval,
     gaussian_noise,
     hilbert_scale_norm,
@@ -66,25 +65,19 @@ def test_kappa_sums():
     assert prob.kappa_tilde_sq == pytest.approx(1.0 + 2.0 * 2.0)
 
 
+def _basis(d, x):
+    # e_1 = 1, e_j = sqrt(2) cos((j-1) pi x), straight from np.cos
+    E = np.sqrt(2.0) * np.cos(np.pi * np.outer(x, np.arange(d)))
+    E[:, 0] = 1.0
+    return E
+
+
 def test_basis_is_orthonormal_under_midpoint_quadrature():
     n = 4096
     x = (np.arange(n) + 0.5) / n
-    prob = build_power_problem(s=1.0, a_link=0.5, r=0.5, q=1.0,
-                               R_dagger=1.0, d=6, sigma=0.0)
-    E = np.column_stack([prob.eval_basis(j, x) for j in range(1, 7)])
+    E = _basis(6, x)
     G = E.T @ E / n
     np.testing.assert_allclose(G, np.eye(6), atol=1e-12)
-
-
-def test_eval_basis_values_and_bounds_checks():
-    assert eval_basis("cosine", 1, 0.3) == 1.0
-    assert eval_basis("cosine", 2, 0.0) == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(IndexError):
-        eval_basis("cosine", 0, 0.5)
-    with pytest.raises(IndexError):
-        eval_basis("cosine", 7, 0.5, d=6)
-    with pytest.raises(ValueError):
-        eval_basis("fourier", 1, 0.5)
 
 
 def test_forward_eval_matches_explicit_sum():
@@ -92,9 +85,8 @@ def test_forward_eval_matches_explicit_sum():
                                R_dagger=1.0, d=9, sigma=0.0)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(9)
-    x = rng.random(40)
-    want = sum(prob.a[j - 1] * f[j - 1] * prob.eval_basis(j, x)
-               for j in range(1, 10))
+    x = np.concatenate(([0.0, 1.0], rng.random(40)))
+    want = _basis(9, x) @ (prob.a * f)
     np.testing.assert_allclose(forward_eval(prob, f, x), want, atol=1e-12)
 
 

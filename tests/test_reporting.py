@@ -3,15 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from scalereg import (
-    BoundCheckReport,
-    Estimate,
-    build_power_problem,
-    sample_dataset,
-)
+from scalereg import BoundCheckReport
 from scalereg.reporting import (
     canonical_json,
-    estimate_to_dict,
     manifest,
     read_bounds_csv,
     read_distance_csv,
@@ -20,7 +14,6 @@ from scalereg.reporting import (
     read_rate_csv,
     sha256_of,
     write_bounds_csv,
-    write_dataset_csv,
     write_distance_csv,
     write_effdim_csv,
     write_json,
@@ -115,24 +108,6 @@ def test_rate_csv_round_trip(tmp_path):
     footer = [ln for ln in path.read_text().splitlines()
               if ln.startswith("# ")]
     assert any(ln.startswith("# fitted_exponent,") for ln in footer)
-
-
-def test_dataset_csv(tmp_path):
-    prob = build_power_problem(s=1.0, a_link=0.5, r=0.5, q=1.0,
-                               R_dagger=1.0, d=4, sigma=0.1)
-    ds = sample_dataset(prob, 5, seed=0)
-    path = tmp_path / "data.csv"
-    write_dataset_csv(path, ds)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y" and len(lines) == 6
-
-
-def test_estimate_to_dict():
-    est = Estimate(f_hat=np.array([1.0, 2.0]), u_hat=np.array([1.0, 4.0]),
-                   lam=0.1, filter_id="tikhonov", m=100)
-    doc = estimate_to_dict(est)
-    assert doc["lambda"] == 0.1 and doc["filter"] == "tikhonov"
-    assert doc["f_hat"] == [1.0, 2.0]
 
 
 def test_manifest_contents(tmp_path):
