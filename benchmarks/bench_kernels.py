@@ -1,10 +1,10 @@
-"""Time the accelerated kernels against the pure-numpy fallback.
+"""Time the per-trial numerical kernels of scalereg.
 
-The backend is chosen at import time from the SCALEREG_NO_NUMBA
-environment flag, so each backend is timed in its own subprocess and the
-parent only assembles the comparison table.  The ``crossprod`` rows time
-the O(m*d) moment build of the factored phi^T phi, its dense assembly
-``toarray()``, and the dense ``phi.T @ phi`` on the same table.  The
+The ``weighted_cosine_table`` rows time the m-by-d design table and the
+``clenshaw_cosine`` rows the forward evaluation of a cosine series.  The
+``crossprod`` rows time the O(m*d) moment build of the factored
+phi^T phi, its dense assembly ``toarray()``, and the dense
+``phi.T @ phi`` on the same table.  The
 ``PCG solve`` rows time the estimator's primal Tikhonov solve
 (conjugate gradients preconditioned with the population operator, with
 its step count) on the factored T_x that ``crossprod`` returns, as
@@ -14,14 +14,10 @@ shifts in place), on criterion-10 cells at the power-table lambda:
 
     python3 benchmarks/bench_kernels.py
 
-The workers import scalereg from this tree's ``src``, so no install is
-needed.
+scalereg is imported from this tree's ``src``, so no install is needed.
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -43,29 +39,29 @@ def _best_of(fn, repeats=REPEATS):
     return best
 
 
-def run_worker():
+def run():
+    sys.path.insert(0, SRC)
     import numpy as np
 
-    from scalereg import (LambdaRule, PowerProblemSpec, backend_name,
-                          clenshaw_cosine, design_matrix, sample_dataset,
-                          warmup, weighted_cosine_table)
+    from scalereg import (LambdaRule, PowerProblemSpec, design_matrix,
+                          sample_dataset)
+    from scalereg.model import _clenshaw_cosine
     from scalereg.sampling import (_design_weights, _pcg, _shifted_solve,
-                                   crossprod)
+                                   _weighted_cosine_table, crossprod)
 
-    warmup()
     rng = np.random.Generator(np.random.Philox(0))
     rows = []
     for m, d in TABLE_SIZES:
         x, w = rng.random(m), rng.standard_normal(d)
         rows.append({"kernel": "weighted_cosine_table", "shape": f"{m}x{d}",
-                     "seconds": _best_of(lambda: weighted_cosine_table(x, w))})
+                     "seconds": _best_of(lambda: _weighted_cosine_table(x, w))})
     for m, d in CLENSHAW_SIZES:
         x, coef = rng.random(m), rng.standard_normal(d)
         rows.append({"kernel": "clenshaw_cosine", "shape": f"{m}x{d}",
-                     "seconds": _best_of(lambda: clenshaw_cosine(x, coef))})
+                     "seconds": _best_of(lambda: _clenshaw_cosine(x, coef))})
     for m, d in CROSSPROD_SIZES:
         w = rng.random(d) + 0.5
-        phi = weighted_cosine_table(rng.random(m), w)
+        phi = _weighted_cosine_table(rng.random(m), w)
         op = crossprod(phi, w)
         rows.append({"kernel": "crossprod", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: crossprod(phi, w))})
@@ -90,50 +86,18 @@ def run_worker():
             rows.append({"kernel": name, "shape": f"{m}x{d}",
                          "seconds": _best_of(lambda: _pcg(A, lam, b, prob.t)),
                          "steps": _pcg(A, lam, b, prob.t)[1]})
-    json.dump({"backend": backend_name(), "rows": rows}, sys.stdout)
-
-
-def _steps(row) -> str:
-    return f"  {row['steps']} steps" if "steps" in row else ""
-
-
-def run_comparison():
-    inherited = os.environ.get("PYTHONPATH")
-    path = SRC + (os.pathsep + inherited if inherited else "")
-    results = {}
-    for flag in ("", "1"):
-        env = dict(os.environ, SCALEREG_NO_NUMBA=flag, PYTHONPATH=path)
-        out = subprocess.run([sys.executable, __file__, "--worker"],
-                             env=env, capture_output=True, text=True,
-                             check=True)
-        doc = json.loads(out.stdout)
-        results[doc["backend"]] = doc["rows"]
-    if "numba" not in results:
-        print("numba backend unavailable; fallback timings only:")
-        for row in results["numpy"]:
-            print(f"  {row['kernel']:22s} {row['shape']:>10s} "
-                  f"{row['seconds'] * 1e3:8.3f} ms{_steps(row)}")
-        return
-    print(f"{'kernel':22s} {'shape':>10s} {'numba ms':>10s} "
-          f"{'numpy ms':>10s} {'speedup':>8s}")
-    for fast, slow in zip(results["numba"], results["numpy"]):
-        assert (fast["kernel"], fast["shape"]) == (slow["kernel"],
-                                                   slow["shape"])
-        ratio = slow["seconds"] / fast["seconds"]
-        print(f"{fast['kernel']:22s} {fast['shape']:>10s} "
-              f"{fast['seconds'] * 1e3:10.3f} {slow['seconds'] * 1e3:10.3f} "
-              f"{ratio:8.2f}x{_steps(fast)}")
+    print(f"{'kernel':22s} {'shape':>10s} {'ms':>8s}")
+    for row in rows:
+        steps = f"  {row['steps']} steps" if "steps" in row else ""
+        print(f"{row['kernel']:22s} {row['shape']:>10s} "
+              f"{row['seconds'] * 1e3:8.3f}{steps}")
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--worker", action="store_true",
-                        help="time the active backend and emit JSON")
-    args = parser.parse_args()
-    if args.worker:
-        run_worker()
-    else:
-        run_comparison()
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    run()
 
 
 if __name__ == "__main__":

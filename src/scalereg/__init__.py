@@ -3,7 +3,6 @@ diagonal problems: filters, a-priori parameter rules, concentration
 diagnostics, distance functions, and convergence-rate experiments.
 """
 
-from ._accel import backend_name, clenshaw_cosine, warmup, weighted_cosine_table
 from .diagnostics import (QUANTITIES, BoundCheckReport, bound_appendix,
                           bound_constants, check_heinz_bound,
                           check_interpolation, check_lemma_envelope,

@@ -1,10 +1,12 @@
 """Command-line front end.
 
     scalereg COMMAND [--config PATH] [--out DIR] [--seed N]
-                     [--threads N] [--set key=value]...
+                     [--set key=value]...
 
 Commands: rate, effdim, bounds, distance, filters-check, decompose.
-Configs are JSON; --set overrides a (dotted) config key.  Exit codes:
+Configs are JSON; --set overrides a (dotted) config key.  Trials run
+serially, and a seed (--seed or the config's "seed") is a non-negative
+integer.  Exit codes:
 0 pass, 2 acceptance failure, 1 runtime error, 64 usage error, 65
 malformed config (the message carries a JSON pointer to the field).
 """
@@ -24,7 +26,8 @@ from .effdim import effdim_curve, fit_effdim_exponent
 from .filters import (FILTER_NAMES, check_prop_regularization,
                       check_qualification, check_regularization_constants,
                       make_filter)
-from .harness import ExperimentConfig, PowerProblemSpec, run_rate_experiment
+from .harness import (CASES, ExperimentConfig, PowerProblemSpec,
+                      run_rate_experiment)
 from .indexfn import from_config as indexfn_from_config
 from .indexfn import power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule
@@ -42,7 +45,7 @@ COMMANDS = ("rate", "effdim", "bounds", "distance", "filters-check",
 
 _USAGE = """\
 usage: scalereg COMMAND [--config PATH] [--out DIR] [--seed N]
-                        [--threads N] [--set key=value]...
+                        [--set key=value]...
 
 commands:
   rate           convergence-rate experiment (rate_report.json/.csv, rate.svg)
@@ -112,7 +115,25 @@ def _lambda_rule_from(doc, ptr) -> LambdaRule:
     params = _get(doc, "params", ptr, default={})
     if not isinstance(params, dict):
         raise ConfigError(f"{ptr}/params", "must be an object")
+    if kind == "fixed":
+        value = _get(params, "value", f"{ptr}/params", cast=float)
+        if not 0 < value <= 1:
+            raise ConfigError(f"{ptr}/params/value",
+                              f"fixed lambda must be in (0, 1], got {value!r}")
+    elif kind == "power_table":
+        _get(params, "case", f"{ptr}/params", cast=str, default="regular",
+             choices=CASES)
     return LambdaRule(kind, params)
+
+
+def _seed_from(doc, seed) -> int:
+    """The --seed value if given, else the config's "seed" (default 0)."""
+    if seed is not None:
+        return seed
+    seed = _get(doc, "seed", "", cast=int, default=0)
+    if seed < 0:
+        raise ConfigError("/seed", f"must be >= 0, got {seed}")
+    return seed
 
 
 def _power_spec_from(doc, ptr) -> PowerProblemSpec:
@@ -151,7 +172,7 @@ def _concrete_problem(doc, ptr, seed: int):
         raise ConfigError(ptr, str(exc))
 
 
-def _experiment_from_doc(doc, seed, threads) -> ExperimentConfig:
+def _experiment_from_doc(doc, seed) -> ExperimentConfig:
     prob = _power_spec_from(_get(doc, "problem", ""), "/problem")
     rule = _lambda_rule_from(
         _get(doc, "lambda_rule", "", default={"kind": "power_table"}),
@@ -168,13 +189,11 @@ def _experiment_from_doc(doc, seed, threads) -> ExperimentConfig:
         lambda_rule=rule,
         m_grid=m_grid,
         trials_per_m=_get(doc, "trials_per_m", "", cast=int, default=50),
-        seed=seed if seed is not None else _get(doc, "seed", "", cast=int,
-                                                default=0),
+        seed=_seed_from(doc, seed),
         error_norm=_get(doc, "error_norm", "", cast=str, default="h"),
         case=_get(doc, "case", "", cast=str, default="regular"),
         tolerance=_get(doc, "tolerance", "", cast=float, default=0.08),
         zeta=_get(doc, "zeta", "", default=None),
-        threads=threads,
     )
     try:
         return ExperimentConfig(**kwargs)
@@ -188,8 +207,8 @@ def _experiment_from_doc(doc, seed, threads) -> ExperimentConfig:
 
 # ------------------------------------------------------------- commands
 
-def _cmd_rate(doc, out: Path, seed, threads) -> int:
-    cfg = _experiment_from_doc(doc, seed, threads)
+def _cmd_rate(doc, out: Path, seed) -> int:
+    cfg = _experiment_from_doc(doc, seed)
     report = run_rate_experiment(cfg)
     write_json(out / "rate_report.json", report.to_dict())
     write_rate_csv(out / "rate_report.csv", report)
@@ -213,7 +232,7 @@ def _cmd_rate(doc, out: Path, seed, threads) -> int:
     return EX_OK if report.passed else EX_FAIL
 
 
-def _cmd_effdim(doc, out: Path, seed, threads) -> int:
+def _cmd_effdim(doc, out: Path, seed) -> int:
     if "spectrum" in doc:
         spectrum = np.asarray(_float_list(doc, "spectrum", ""),
                               dtype=np.float64)
@@ -253,9 +272,8 @@ def _cmd_effdim(doc, out: Path, seed, threads) -> int:
     return rc
 
 
-def _cmd_bounds(doc, out: Path, seed, threads) -> int:
-    seed = seed if seed is not None else _get(doc, "seed", "", cast=int,
-                                              default=0)
+def _cmd_bounds(doc, out: Path, seed) -> int:
+    seed = _seed_from(doc, seed)
     problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
     quantities = _get(doc, "quantities", "",
                       default=["PSI", "UPSILON", "LAMBDA_Q", "TX_DEV"])
@@ -288,7 +306,7 @@ def _cmd_bounds(doc, out: Path, seed, threads) -> int:
         lam = rule.resolve(problem, m)
         reports.extend(montecarlo_coverage_batch(
             problem, quantities, lam, m, etas, trials, seed,
-            s=s_exp, zeta=zeta, threads=threads))
+            s=s_exp, zeta=zeta))
     write_bounds_csv(out / "bounds.csv", reports)
     write_json(out / "bounds.json", [r.to_dict() for r in reports])
     write_manifest(out / "manifest.json", doc, seed)
@@ -299,9 +317,8 @@ def _cmd_bounds(doc, out: Path, seed, threads) -> int:
     return EX_OK if n_pass == len(reports) else EX_FAIL
 
 
-def _cmd_distance(doc, out: Path, seed, threads) -> int:
-    seed = seed if seed is not None else _get(doc, "seed", "", cast=int,
-                                              default=0)
+def _cmd_distance(doc, out: Path, seed) -> int:
+    seed = _seed_from(doc, seed)
     problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
     Rs = _float_list(doc, "R_values", "")
     if any(R <= 0 for R in Rs):
@@ -318,7 +335,7 @@ def _cmd_distance(doc, out: Path, seed, threads) -> int:
     return EX_OK
 
 
-def _cmd_filters_check(doc, out: Path, seed, threads) -> int:
+def _cmd_filters_check(doc, out: Path, seed) -> int:
     rows, ok = [], True
     for name in FILTER_NAMES:
         filt = make_filter(name)
@@ -359,7 +376,7 @@ def _cmd_filters_check(doc, out: Path, seed, threads) -> int:
     return EX_OK if ok else EX_FAIL
 
 
-def _cmd_decompose(doc, out: Path, seed, threads) -> int:
+def _cmd_decompose(doc, out: Path, seed) -> int:
     kernel = _get(doc, "kernel", "", cast=str, default="k2",
                   choices=("k1", "k2"))
     grid_n = _get(doc, "grid_n", "", cast=int, default=512)
@@ -424,7 +441,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=".")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--set", action="append", default=[],
                         dest="overrides", metavar="KEY=VALUE")
     try:
@@ -434,8 +450,8 @@ def main(argv=None) -> int:
         return EX_USAGE
 
     try:
-        if args.threads is not None and args.threads < 1:
-            raise _UsageError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         if command in _NEEDS_CONFIG:
             if args.config is None:
                 raise _UsageError(f"{command} requires --config")
@@ -454,7 +470,7 @@ def main(argv=None) -> int:
             _apply_override(doc, spec)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[command](doc, out, args.seed, args.threads)
+        return _DISPATCH[command](doc, out, args.seed)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n{_USAGE}")
         return EX_USAGE

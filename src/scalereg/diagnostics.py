@@ -32,7 +32,7 @@ from .effdim import effdim
 from .filters import FilterFamily, for_spectrum, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
-from .sampling import (Dataset, _clamped_eigh, _design_weights, _map_trials,
+from .sampling import (Dataset, _clamped_eigh, _design_weights,
                        _stream, crossprod, design_matrix, empirical_cov)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
@@ -261,8 +261,7 @@ def _trial_values(problem: SpectralProblem, m: int, lam: float,
 def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
                               m: int, etas, trials: int, seed: int, *,
                               s: float = 0.5,
-                              zeta: Optional[IndexFunction] = None,
-                              threads: Optional[int] = None):
+                              zeta: Optional[IndexFunction] = None):
     """Coverage reports for several quantities/confidence levels at once.
 
     All reports share the same `trials` seeded datasets (seeds derive
@@ -287,10 +286,8 @@ def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
         trials, dtype=np.uint64)
     tags = frozenset(quantities)
 
-    def one(k: int) -> dict:
-        return _trial_values(problem, m, lam, int(tseeds[k]), tags, zeta_fns)
-
-    rows = _map_trials(one, range(trials), threads)
+    rows = [_trial_values(problem, m, lam, int(seed_k), tags, zeta_fns)
+            for seed_k in tseeds]
 
     # the balance rule lands exactly on N(lam) = m lam; the boundary is
     # inside the hypothesis, so allow root-finder slack

@@ -21,7 +21,7 @@ from .filters import check_covering, make_filter
 from .indexfn import IndexFunction, from_config, power_fn, to_config
 from .lambda_rules import LambdaRule, _rate_regime
 from .model import SpectralProblem, build_power_problem
-from .sampling import _map_trials, errors, estimate, sample_dataset
+from .sampling import errors, estimate, sample_dataset
 
 ERROR_NORMS = ("h", "prediction", "zeta")
 CASES = ("oversmoothing", "regular")
@@ -105,7 +105,6 @@ class ExperimentConfig:
     case: str = "regular"
     tolerance: float = DEFAULT_TOLERANCE
     zeta: Optional[dict] = None
-    threads: Optional[int] = None
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.m_grid)
@@ -223,8 +222,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
             config.trials_per_m, dtype=np.uint64)
         cells.append((m, problem, lam, tseeds))
 
-    def one(jk) -> tuple:
-        cell_idx, k = jk
+    def one(cell_idx: int, k: int) -> tuple:
         m, problem, lam, tseeds = cells[cell_idx]
         ds = sample_dataset(problem, m, int(tseeds[k]))
         est = estimate(problem, ds, filt, lam)
@@ -233,9 +231,8 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
             raise RuntimeError(f"non-finite error in cell m={m}, trial={k}")
         return val, math.inf if est.lu_fallback else est.cg_steps
 
-    jobs = [(ci, k) for ci in range(len(cells))
+    flat = [one(ci, k) for ci in range(len(cells))
             for k in range(config.trials_per_m)]
-    flat = _map_trials(one, jobs, config.threads)
 
     per_m, log_meds, weights = [], [], []
     degenerate = False

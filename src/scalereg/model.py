@@ -21,8 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _accel
-
 V_PATTERNS = ("constant", "alternating", "seeded")
 
 
@@ -199,13 +197,30 @@ def _cosine_coef(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _clenshaw_cosine(x, c):
+    # f(x) = sum_k c_k cos(k*pi*x), evaluated with the Clenshaw recurrence
+    n = c.shape[0] - 1
+    ct = np.cos(np.pi * x)
+    if n == 0:
+        return np.full_like(ct, c[0])
+    two_ct = 2.0 * ct
+    b1 = np.zeros_like(ct)
+    b2 = np.zeros_like(ct)
+    for k in range(n, 0, -1):
+        b1, b2 = c[k] + two_ct * b1 - b2, b1
+    return c[0] + ct * b1 - b2
+
+
 def forward_eval(problem: SpectralProblem, f: np.ndarray, x):
-    """Evaluate g(x) = sum_j a_j f_j e_j(x) (the regression function)."""
+    """Evaluate g(x) = sum_j a_j f_j e_j(x) (the regression function).
+
+    ``x`` is a vector of points; a scalar point gives a length-1 vector.
+    """
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (problem.d,):
         raise ValueError(f"f must have length d={problem.d}")
-    return _accel.clenshaw_cosine(np.asarray(x, dtype=np.float64),
-                                  _cosine_coef(problem.a * f))
+    return _clenshaw_cosine(np.ascontiguousarray(x, dtype=np.float64),
+                            _cosine_coef(problem.a * f))
 
 
 def hilbert_scale_norm(problem: SpectralProblem, f: np.ndarray,

@@ -18,8 +18,6 @@ from importlib import metadata
 
 import numpy as np
 
-from ._accel import backend_name
-
 BOUNDS_HEADER = ("quantity", "lambda", "m", "eta", "trials",
                  "quantile", "bound", "coverage")
 RATE_HEADER = ("m", "lambda", "mean", "median", "std", "cg_steps")
@@ -201,14 +199,12 @@ def _pkg_version(name: str):
 
 
 def manifest(config_doc, seed) -> dict:
-    """Reproducibility record: config hash, seed, versions, backend."""
+    """Reproducibility record: config hash, seed, versions."""
     return {"config_sha256": sha256_of(config_doc),
             "seed": int(seed),
-            "backend": backend_name(),
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__,
                          "scipy": _pkg_version("scipy"),
-                         "numba": _pkg_version("numba"),
                          "scalereg": _pkg_version("scalereg") or "0.1.0"}}
 
 

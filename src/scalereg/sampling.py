@@ -39,6 +39,15 @@ reach a residual of 1e-14 ||b||.  Off that hypothesis (tiny lambda at
 small m) the iteration may not get there within ``_PCG_MAX_STEPS``
 steps, and the dense LU solve of the same system answers instead.
 
+Phi itself is filled column by column with the three-term recurrence
+
+    cos((j+1)s) = 2*cos(s)*cos(j*s) - cos((j-1)s),
+
+re-seeded from direct ``cos`` calls every ``_BLOCK`` columns, so the
+accumulated rounding error stays at O(_BLOCK**2 * eps) independent of d
+(a fresh pair of anchor columns starts each block, so errors do not
+propagate across blocks).
+
 Every BLAS and LAPACK call a trial makes goes through numpy.  The numpy
 and scipy wheels each bundle their own OpenBLAS, each with its own pool
 of worker threads; a trial that woke both would leave the idle workers
@@ -51,7 +60,6 @@ so identical (problem, m, seed, design) always reproduce the same data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -59,7 +67,6 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import _accel
 from .filters import FilterFamily, filter_values, for_spectrum
 from .indexfn import IndexFunction
 from .model import SpectralProblem, _cosine_coef, forward_eval
@@ -80,6 +87,9 @@ _PCG_MAX_STEPS = 100
 
 # rows of the dense d x d operator scaled per block in toarray()
 _ROW_BLOCK = 256
+
+# columns of the cosine table between two reseeds of its recurrence
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -130,18 +140,6 @@ def _stream(seed: int, which: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence([int(seed), which])))
 
 
-def _map_trials(fn, jobs, threads: Optional[int]) -> list:
-    """[fn(job) for job in jobs], on `threads` Python threads if > 1.
-
-    Results come back in job order and each trial draws from its own
-    seeded streams, so the output does not depend on `threads`.
-    """
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 def sample_dataset(problem: SpectralProblem, m: int, seed: int,
                    design: str = "random_uniform") -> Dataset:
     """Draw a dataset of size m from the problem's observation model."""
@@ -166,10 +164,43 @@ def _design_weights(problem: SpectralProblem) -> np.ndarray:
     return _cosine_coef(problem.a / problem.l)
 
 
+def _weighted_cosine_table(x, w):
+    # the m-by-d table w[j] * cos(j pi x[i]); each column is filled as one
+    # contiguous row of a d-by-m buffer, and the result is its
+    # Fortran-ordered transpose
+    m = x.shape[0]
+    d = w.shape[0]
+    out = np.empty((d, m))
+    out[0] = w[0]
+    if d == 1:
+        return out.T
+    c = np.cos(np.pi * x)
+    np.multiply(w[1], c, out=out[1])
+    two_c = 2.0 * c
+    # unweighted previous two columns of the recurrence, kept separately
+    # so the weights never enter the recurrence itself
+    prev2 = np.ones(m)
+    prev1 = c
+    for j in range(2, d):
+        if j % _BLOCK < 2:
+            cur = np.cos((j * np.pi) * x)
+        else:
+            cur = two_c * prev1 - prev2
+        np.multiply(w[j], cur, out=out[j])
+        prev2 = prev1
+        prev1 = cur
+    return out.T
+
+
 def design_matrix(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
-    """m-by-d matrix of B_x in the basis: entries (a_j/l_j) e_j(x_i)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _accel.weighted_cosine_table(x, _design_weights(problem))
+    """m-by-d matrix of B_x in the basis: entries (a_j/l_j) e_j(x_i).
+
+    The table is Fortran-ordered (each column contiguous).
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("x must be one-dimensional")
+    return _weighted_cosine_table(x, _design_weights(problem))
 
 
 class _ToeplitzHankel:

@@ -29,6 +29,19 @@ SMALL_RATE = {
     "tolerance": 0.5,
 }
 
+SMALL_BOUNDS = {
+    "problem": {"s": 1.0, "a_link": 0.5, "r": 0.5, "q": 1.0,
+                "R_dagger": 1.0, "sigma": 0.05, "d": 32},
+    "quantities": ["PSI", "TX_DEV"],
+    "etas": [0.1],
+    "m_values": [256],
+    "trials": 100,
+    "lambda_rule": {"kind": "balance_effdim", "params": {}},
+}
+
+RATE_AND_BOUNDS = [pytest.param("rate", SMALL_RATE, id="rate"),
+                   pytest.param("bounds", SMALL_BOUNDS, id="bounds")]
+
 
 def test_no_arguments_is_usage(capsys):
     assert main([]) == 64
@@ -65,22 +78,48 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
 
 
 def test_bad_field_reports_json_pointer(tmp_path, capsys):
-    doc = dict(SMALL_RATE, lambda_rule={"kind": "newton", "params": {}})
+    for rule, pointer in [
+            ({"kind": "newton", "params": {}}, "/lambda_rule/kind"),
+            ({"kind": "fixed", "params": {}}, "/lambda_rule/params/value"),
+            ({"kind": "fixed", "params": {"value": 0.0}},
+             "/lambda_rule/params/value"),
+            ({"kind": "fixed", "params": {"value": 1.5}},
+             "/lambda_rule/params/value"),
+            ({"kind": "power_table", "params": {"case": "bogus"}},
+             "/lambda_rule/params/case")]:
+        cfg = _write(tmp_path, "cfg.json", dict(SMALL_RATE, lambda_rule=rule))
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 65
+        assert f"config error at {pointer}:" in capsys.readouterr().err, rule
+
+
+@pytest.mark.parametrize("command, doc", RATE_AND_BOUNDS)
+def test_threads_option_is_gone(tmp_path, capsys, command, doc):
+    # trials run serially; a stale --threads is a usage error, raised
+    # before any work starts, so no output directory appears
     cfg = _write(tmp_path, "cfg.json", doc)
-    assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 65
-    assert "/lambda_rule/kind" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["rate", "bounds"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_thread_count_below_one_is_usage(tmp_path, capsys, command, threads):
-    # rejected before any work starts, so no output directory appears
-    cfg = _write(tmp_path, "cfg.json", SMALL_RATE)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out),
-                 "--threads", threads]) == 64
-    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+                 "--threads", "2"]) == 64
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", RATE_AND_BOUNDS)
+def test_negative_seed_flag_is_usage(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path, "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--seed", "-1"]) == 64
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", RATE_AND_BOUNDS)
+def test_negative_config_seed_is_config_error(tmp_path, capsys, command, doc):
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--set", "seed=-2"]) == 65
+    assert "config error at /seed:" in capsys.readouterr().err
 
 
 def test_rate_end_to_end(tmp_path, capsys):
@@ -140,16 +179,7 @@ def test_effdim_command_with_expected_exponent(tmp_path, capsys):
 
 
 def test_bounds_command(tmp_path, capsys):
-    doc = {
-        "problem": {"s": 1.0, "a_link": 0.5, "r": 0.5, "q": 1.0,
-                    "R_dagger": 1.0, "sigma": 0.05, "d": 32},
-        "quantities": ["PSI", "TX_DEV"],
-        "etas": [0.1],
-        "m_values": [256],
-        "trials": 100,
-        "lambda_rule": {"kind": "balance_effdim", "params": {}},
-    }
-    cfg = _write(tmp_path, "cfg.json", doc)
+    cfg = _write(tmp_path, "cfg.json", SMALL_BOUNDS)
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     assert "bounds: 2/2 coverage reports passed" in capsys.readouterr().out
@@ -215,7 +245,8 @@ def test_runtime_error_maps_to_exit_one(tmp_path, capsys):
 def test_rate_run_imports_no_scipy(tmp_path):
     # scipy is a test dependency only: a rate run through the CLI, which
     # takes the SVD and the primal PCG routes and writes the manifest,
-    # must not load it
+    # must not load it; nor, running its trials serially on the one
+    # numpy backend, a thread pool or numba
     cfg = dict(SMALL_RATE, m_grid=[16, 64, 512], trials_per_m=10)
     code = (
         "import sys\n"
@@ -223,7 +254,9 @@ def test_rate_run_imports_no_scipy(tmp_path):
         f"rc = main(['rate', '--config', {_write(tmp_path, 'c.json', cfg)!r},"
         f" '--out', {str(tmp_path / 'out')!r}])\n"
         "assert rc == 0, rc\n"
-        "print(sorted(n for n in sys.modules if n.startswith('scipy')))\n"
+        "print(sorted(n for n in sys.modules\n"
+        "             if n.split('.')[0] in ('scipy', 'numba')\n"
+        "             or n.startswith('concurrent.futures')))\n"
     )
     # the child imports the same copy of the package as this process
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(scalereg.__file__)))

@@ -135,23 +135,6 @@ def test_small_experiment_is_deterministic_and_plausible():
                                       for m in cfg.m_grid], rtol=1e-12)
 
 
-def test_threaded_run_matches_serial():
-    cfg = _small_config()
-    threaded = ExperimentConfig(**{**_as_kwargs(cfg), "threads": 2})
-    rep_serial = run_rate_experiment(cfg)
-    rep_threaded = run_rate_experiment(threaded)
-    assert rep_serial.per_m == rep_threaded.per_m
-    assert rep_serial.fitted_exponent == rep_threaded.fitted_exponent
-
-
-def _as_kwargs(cfg: ExperimentConfig) -> dict:
-    return {"problem": cfg.problem, "filter_id": cfg.filter_id,
-            "lambda_rule": cfg.lambda_rule, "m_grid": cfg.m_grid,
-            "trials_per_m": cfg.trials_per_m, "seed": cfg.seed,
-            "error_norm": cfg.error_norm, "case": cfg.case,
-            "tolerance": cfg.tolerance, "zeta": cfg.zeta}
-
-
 def test_uncovered_smoothness_is_refused():
     spec = PowerProblemSpec(s=1.0, a_link=0.5, r=2.0, q=4.0, sigma=0.05,
                             d_override=32)

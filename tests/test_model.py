@@ -11,6 +11,7 @@ from scalereg import (
     problem_from_dict,
     problem_to_dict,
 )
+from scalereg.model import _clenshaw_cosine
 
 
 def test_power_problem_link_held_with_equality():
@@ -88,6 +89,31 @@ def test_forward_eval_matches_explicit_sum():
     x = np.concatenate(([0.0, 1.0], rng.random(40)))
     want = _basis(9, x) @ (prob.a * f)
     np.testing.assert_allclose(forward_eval(prob, f, x), want, atol=1e-12)
+    # a scalar point gives a length-1 vector
+    np.testing.assert_array_equal(forward_eval(prob, f, x[2]),
+                                  forward_eval(prob, f, x[2:3]))
+
+
+def _direct_clenshaw(x, coef):
+    j = np.arange(coef.size)
+    return np.cos(np.outer(np.pi * x, j)) @ coef
+
+
+def test_clenshaw_matches_direct_sum():
+    rng = np.random.default_rng(11)
+    x = rng.random(333)
+    coef = rng.standard_normal(500)
+    got = _clenshaw_cosine(x, coef)
+    want = _direct_clenshaw(x, coef)
+    # Clenshaw error grows like d*eps on the coefficient scale
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(coef).sum())
+
+
+def test_clenshaw_trivial_sizes():
+    x = np.array([0.25, 0.75])
+    assert np.allclose(_clenshaw_cosine(x, np.array([3.0])), [3.0, 3.0])
+    got = _clenshaw_cosine(x, np.array([1.0, 1.0]))
+    assert np.allclose(got, 1.0 + np.cos(np.pi * x), atol=1e-14)
 
 
 def test_hilbert_scale_norm():

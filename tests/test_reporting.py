@@ -115,7 +115,7 @@ def test_manifest_contents(tmp_path):
     man = manifest(doc, seed=7)
     assert man["config_sha256"] == sha256_of(doc)
     assert man["seed"] == 7
-    assert man["backend"] in ("numba", "numpy")
+    assert "backend" not in man  # one numeric backend, nothing to record
     vers = man["versions"]
     assert set(vers) >= {"python", "numpy", "scipy", "scalereg"}
     assert "timestamp" not in man  # byte-reproducible outputs

@@ -12,7 +12,8 @@ from scalereg import (
     make_filter,
     sample_dataset,
 )
-from scalereg.sampling import _clamped_eigh, _design_weights, crossprod, gram
+from scalereg.sampling import (_clamped_eigh, _design_weights,
+                               _weighted_cosine_table, crossprod, gram)
 
 
 def _problem(d=16, sigma=0.05, **kw):
@@ -61,6 +62,57 @@ def test_design_matrix_row_oracle():
     # a = (1, 1), l = (1, 2); at x = 0 the basis is (1, sqrt(2))
     row = design_matrix(prob, np.array([0.0]))[0]
     np.testing.assert_allclose(row, [1.0, np.sqrt(2.0) / 2.0])
+
+
+def _direct_table(x, w):
+    j = np.arange(w.size)
+    return np.cos(np.outer(np.pi * x, j)) * w[None, :]
+
+
+def test_weighted_table_matches_direct_cos():
+    rng = np.random.default_rng(3)
+    for m, d in [(7, 5), (64, 64), (101, 257), (256, 130)]:
+        x = rng.random(m)
+        w = rng.random(d) + 0.1
+        got = _weighted_cosine_table(x, w)
+        want = _direct_table(x, w)
+        err = np.abs(got - want).max()
+        assert err <= 2e-12, f"table deviates by {err} at m={m}, d={d}"
+
+
+def test_table_equals_a_per_column_loop():
+    # the table fills a transposed buffer; its values must be exactly
+    # those of the column-by-column recurrence
+    rng = np.random.default_rng(4)
+    for m, d in [(1, 1), (9, 1), (9, 2), (31, 64), (31, 65), (200, 300)]:
+        x = rng.random(m)
+        w = rng.standard_normal(d)
+        want = np.empty((m, d))
+        want[:, 0] = w[0]
+        c = np.cos(np.pi * x)
+        prev2, prev1 = np.ones(m), c
+        if d > 1:
+            want[:, 1] = w[1] * c
+        for j in range(2, d):
+            if j % sampling._BLOCK < 2:
+                cur = np.cos((j * np.pi) * x)
+            else:
+                cur = 2.0 * c * prev1 - prev2
+            want[:, j] = w[j] * cur
+            prev2, prev1 = prev1, cur
+        got = _weighted_cosine_table(x, w)
+        assert got.shape == (m, d)
+        assert np.array_equal(got, want)
+
+
+def test_table_blocked_recurrence_stays_accurate_at_large_d():
+    # d far beyond the reseed block, x near the endpoints where the
+    # three-term recurrence is most delicate
+    x = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
+    w = np.ones(4096)
+    got = _weighted_cosine_table(x, w)
+    want = _direct_table(x, w)
+    assert np.abs(got - want).max() <= 5e-12
 
 
 def test_crossprod_and_gram_match_dense_products():
