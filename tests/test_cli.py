@@ -92,15 +92,19 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
         assert f"config error at {pointer}:" in capsys.readouterr().err, rule
 
 
-@pytest.mark.parametrize("command, doc", RATE_AND_BOUNDS)
-def test_threads_option_is_gone(tmp_path, capsys, command, doc):
-    # trials run serially; a stale --threads is a usage error, raised
-    # before any work starts, so no output directory appears
-    cfg = _write(tmp_path, "cfg.json", doc)
+@pytest.mark.parametrize("command", ["rate", "bounds"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_usage(tmp_path, capsys, command, threads):
+    # trials run serially and --threads is gone, so any value of it, a
+    # count below one included, is a usage error raised before any work
+    # starts: no output directory appears
+    cfg = _write(tmp_path, "cfg.json",
+                 SMALL_RATE if command == "rate" else SMALL_BOUNDS)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out),
-                 "--threads", "2"]) == 64
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+                 "--threads", threads]) == 64
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --threads {threads}" in err
     assert not out.exists()
 
 
