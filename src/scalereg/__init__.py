@@ -15,11 +15,10 @@ from .distance import (DistanceCurve, DistanceResult, distance_bound,
 from .effdim import (EffDimCurve, check_effdim_relation, check_tail_condition,
                      effdim, effdim_curve, fit_effdim_exponent)
 from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
-                      apply_filter, check_covering, check_prop_regularization,
+                      check_covering, check_prop_regularization,
                       check_qualification, check_regularization_constants,
                       default_lambda_grid, default_t_grid, filter_values,
-                      for_spectrum, landweber_iterations, make_filter,
-                      residual, residual_values)
+                      landweber_iterations, make_filter, residual_values)
 from .harness import (CASES, ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
                       RateReport, config_hash, run_rate_experiment,
                       theoretical_exponent, truncation_dim)

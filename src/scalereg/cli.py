@@ -77,6 +77,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _strict_int(val) -> int:
+    """A JSON integer, or a float with an integral value, as an int.
+
+    Everything else, true/false and 1.5 included, raises ValueError:
+    truncating would run with a value the config did not ask for.
+    """
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    raise ValueError(f"not an integer: {val!r}")
+
+
 def _get(doc, key, ptr, cast=None, default=_MISSING, choices=None):
     if not isinstance(doc, dict):
         raise ConfigError(ptr, "expected an object")
@@ -87,7 +100,7 @@ def _get(doc, key, ptr, cast=None, default=_MISSING, choices=None):
     val = doc[key]
     if cast is not None:
         try:
-            val = cast(val)
+            val = _strict_int(val) if cast is int else cast(val)
         except (TypeError, ValueError):
             raise ConfigError(f"{ptr}/{key}",
                               f"cannot interpret {val!r} as {cast.__name__}")
@@ -172,14 +185,14 @@ def _concrete_problem(doc, ptr, seed: int):
         raise ConfigError(ptr, str(exc))
 
 
-def _experiment_from_doc(doc, seed) -> ExperimentConfig:
+def _experiment_from_doc(doc, seed: int) -> ExperimentConfig:
     prob = _power_spec_from(_get(doc, "problem", ""), "/problem")
     rule = _lambda_rule_from(
         _get(doc, "lambda_rule", "", default={"kind": "power_table"}),
         "/lambda_rule")
     m_grid = _get(doc, "m_grid", "")
     try:
-        m_grid = tuple(int(m) for m in m_grid)
+        m_grid = tuple(_strict_int(m) for m in m_grid)
     except (TypeError, ValueError):
         raise ConfigError("/m_grid", "must be a list of integers")
     kwargs = dict(
@@ -189,7 +202,7 @@ def _experiment_from_doc(doc, seed) -> ExperimentConfig:
         lambda_rule=rule,
         m_grid=m_grid,
         trials_per_m=_get(doc, "trials_per_m", "", cast=int, default=50),
-        seed=_seed_from(doc, seed),
+        seed=seed,
         error_norm=_get(doc, "error_norm", "", cast=str, default="h"),
         case=_get(doc, "case", "", cast=str, default="regular"),
         tolerance=_get(doc, "tolerance", "", cast=float, default=0.08),
@@ -207,7 +220,7 @@ def _experiment_from_doc(doc, seed) -> ExperimentConfig:
 
 # ------------------------------------------------------------- commands
 
-def _cmd_rate(doc, out: Path, seed) -> int:
+def _cmd_rate(doc, out: Path, seed: int) -> int:
     cfg = _experiment_from_doc(doc, seed)
     report = run_rate_experiment(cfg)
     write_json(out / "rate_report.json", report.to_dict())
@@ -232,15 +245,14 @@ def _cmd_rate(doc, out: Path, seed) -> int:
     return EX_OK if report.passed else EX_FAIL
 
 
-def _cmd_effdim(doc, out: Path, seed) -> int:
+def _cmd_effdim(doc, out: Path, seed: int) -> int:
     if "spectrum" in doc:
         spectrum = np.asarray(_float_list(doc, "spectrum", ""),
                               dtype=np.float64)
         if np.any(spectrum <= 0):
             raise ConfigError("/spectrum", "entries must be positive")
     else:
-        problem = _concrete_problem(_get(doc, "problem", ""), "/problem",
-                                    seed if seed is not None else 0)
+        problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
         spectrum = problem.t
     lo = _get(doc, "lambda_lo", "", cast=float, default=1e-6)
     hi = _get(doc, "lambda_hi", "", cast=float, default=1.0)
@@ -249,7 +261,7 @@ def _cmd_effdim(doc, out: Path, seed) -> int:
         raise ConfigError("/lambda_lo", "need 0 < lambda_lo < lambda_hi")
     curve = effdim_curve(spectrum, lo, hi, ppd)
     write_effdim_csv(out / "effdim.csv", curve.lambdas, curve.values)
-    write_manifest(out / "manifest.json", doc, seed if seed is not None else 0)
+    write_manifest(out / "manifest.json", doc, seed)
     rc = EX_OK
     msg = (f"effdim: N({lo:g}) = {curve.values[0]:.6g}, "
            f"N({hi:g}) = {curve.values[-1]:.6g}")
@@ -272,8 +284,7 @@ def _cmd_effdim(doc, out: Path, seed) -> int:
     return rc
 
 
-def _cmd_bounds(doc, out: Path, seed) -> int:
-    seed = _seed_from(doc, seed)
+def _cmd_bounds(doc, out: Path, seed: int) -> int:
     problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
     quantities = _get(doc, "quantities", "",
                       default=["PSI", "UPSILON", "LAMBDA_Q", "TX_DEV"])
@@ -288,7 +299,7 @@ def _cmd_bounds(doc, out: Path, seed) -> int:
             raise ConfigError("/etas", "entries must lie in (0, 1)")
     m_values = _get(doc, "m_values", "")
     try:
-        m_values = [int(m) for m in m_values]
+        m_values = [_strict_int(m) for m in m_values]
     except (TypeError, ValueError):
         raise ConfigError("/m_values", "must be a list of integers")
     trials = _get(doc, "trials", "", cast=int, default=500)
@@ -317,8 +328,7 @@ def _cmd_bounds(doc, out: Path, seed) -> int:
     return EX_OK if n_pass == len(reports) else EX_FAIL
 
 
-def _cmd_distance(doc, out: Path, seed) -> int:
-    seed = _seed_from(doc, seed)
+def _cmd_distance(doc, out: Path, seed: int) -> int:
     problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
     Rs = _float_list(doc, "R_values", "")
     if any(R <= 0 for R in Rs):
@@ -335,7 +345,7 @@ def _cmd_distance(doc, out: Path, seed) -> int:
     return EX_OK
 
 
-def _cmd_filters_check(doc, out: Path, seed) -> int:
+def _cmd_filters_check(doc, out: Path, seed: int) -> int:
     rows, ok = [], True
     for name in FILTER_NAMES:
         filt = make_filter(name)
@@ -376,7 +386,7 @@ def _cmd_filters_check(doc, out: Path, seed) -> int:
     return EX_OK if ok else EX_FAIL
 
 
-def _cmd_decompose(doc, out: Path, seed) -> int:
+def _cmd_decompose(doc, out: Path, seed: int) -> int:
     kernel = _get(doc, "kernel", "", cast=str, default="k2",
                   choices=("k1", "k2"))
     grid_n = _get(doc, "grid_n", "", cast=int, default=512)
@@ -394,7 +404,7 @@ def _cmd_decompose(doc, out: Path, seed) -> int:
         payload["max_rel_err_top5_vs_exact"] = float(
             np.max(np.abs(w[:5] - ref) / ref))
     write_json(out / "decompose.json", payload)
-    write_manifest(out / "manifest.json", doc, seed if seed is not None else 0)
+    write_manifest(out / "manifest.json", doc, seed)
     print(f"decompose: kernel {kernel} on {grid_n} nodes, {n_pos} positive "
           f"modes, top eigenvalue {w[0]:.8g}")
     if kernel == "k2":
@@ -468,9 +478,10 @@ def main(argv=None) -> int:
             doc = {}
         for spec in args.overrides:
             _apply_override(doc, spec)
+        seed = _seed_from(doc, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[command](doc, out, args.seed)
+        return _DISPATCH[command](doc, out, seed)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n{_USAGE}")
         return EX_USAGE

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .effdim import effdim
-from .filters import FilterFamily, for_spectrum, residual_values
+from .filters import FilterFamily, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
 from .sampling import (Dataset, _clamped_eigh, _design_weights,
@@ -110,7 +110,7 @@ def _check_zeta(zeta: IndexFunction, t_max: float) -> IndexFunction:
     vals = np.asarray(zeta(grid))
     if np.any(np.diff(vals) < 0):
         raise ValueError("zeta must be nondecreasing")
-    if not check_sublinear(zeta, t_max=t_max):
+    if not check_sublinear(zeta, t_max):
         raise ValueError("zeta fails the sub-linearity check")
     return zeta
 
@@ -362,8 +362,7 @@ def check_lemma_envelope(problem: SpectralProblem, dataset: Dataset,
         {"xi_rho": power_fn(a), "xi_ups": power_fn(1.0 - a),
          "xi": power_fn(1.0)})
 
-    work, c = for_spectrum(filt, problem.kappa_sq)
-    rv = residual_values(work, lam, w, prescale=c)
+    rv = residual_values(filt, lam, w, problem.kappa_sq)
     l = problem.l
     mat = ((V * rv) @ V.T) * (l[None, :] / l[:, None])
     lhs = float(np.linalg.norm(mat, 2))

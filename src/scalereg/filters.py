@@ -1,6 +1,6 @@
 """Spectral regularization filters and their defining conditions.
 
-A filter family g_lambda approximates t -> 1/t on a spectrum [0, t_max]
+A filter family g_lambda approximates t -> 1/t on a spectrum [0, 1]
 subject to the usual four conditions with constants (D, B, gamma,
 gamma_p):
 
@@ -12,23 +12,29 @@ qualification.  Three families are provided:
 
 - "tikhonov":  g = 1/(t + lambda), qualification 1 (saturates above);
 - "cutoff":    g = 1/t for t >= lambda else 0, arbitrary qualification;
-- "landweber": g = sum_{i<nu} (1-t)^i with nu = ceil(1/lambda), valid
-  on spectra in [0, 1]; callers rescale larger spectra (see
-  ``filter_values``).  Its per-p constant (p/e)^p is a known envelope,
-  approached from below, and is grid-verified in the checks rather than
-  assumed.
+- "landweber": g = sum_{i<nu} (1-t)^i with nu = ceil(1/lambda), capped
+  at 10^6, defined on [0, 1].  Its per-p constant (p/e)^p is a known
+  envelope, approached from below, and is grid-verified in the checks
+  rather than assumed.
+
+``filter_values`` and ``residual_values`` take the raw spectrum of an
+operator bounded by kappa^2, such as T_x, together with kappa^2.
+Tikhonov and cutoff act on t directly; landweber acts on t / kappa^2,
+g(t) = g~(t / kappa^2) / kappa^2 and r(t) = r~(t / kappa^2), with
+lambda in the same units.  At kappa^2 = 1 every filter is on its
+canonical domain [0, 1].
 
 The check_* functions verify the conditions by grid maximization; the
 default grids (400 log-spaced lambdas in [1e-6, 1], 1000 linear t in
-[0, t_max]) resolve the suprema of these smooth functions well below
-the 1e-9 comparison tolerance.
+[0, 1]) resolve the suprema of these smooth functions well below the
+1e-9 comparison tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,8 +42,10 @@ from .indexfn import IndexFunction
 
 FILTER_NAMES = ("tikhonov", "cutoff", "landweber")
 
-DEFAULT_NU_MAX = 10 ** 6
+_LANDWEBER_NU_CAP = 10 ** 6
 _TOL = 1e-9
+# relative room above kappa^2 for eigensolver overshoot
+_SPECTRUM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,6 @@ class FilterFamily:
     gamma: float
     qualification_p: float
     gamma_p: float
-    t_max: float = 1.0
-    nu_max: int = DEFAULT_NU_MAX
 
     def gamma_p_at(self, p: float) -> float:
         """Declared qualification constant at order p.
@@ -68,49 +74,39 @@ class FilterFamily:
         return (p / math.e) ** p
 
 
-def make_filter(name: str, t_max: float = 1.0,
-                nu_max: int = DEFAULT_NU_MAX) -> FilterFamily:
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+def make_filter(name: str) -> FilterFamily:
     if name == "tikhonov":
         return FilterFamily("tikhonov", D=1.0, B=1.0, gamma=1.0,
-                            qualification_p=1.0, gamma_p=1.0, t_max=t_max)
+                            qualification_p=1.0, gamma_p=1.0)
     if name == "cutoff":
         return FilterFamily("cutoff", D=1.0, B=1.0, gamma=1.0,
-                            qualification_p=math.inf, gamma_p=1.0,
-                            t_max=t_max)
+                            qualification_p=math.inf, gamma_p=1.0)
     if name == "landweber":
-        if t_max > 1.0 + 1e-12:
-            raise ValueError("landweber needs t_max <= 1; rescale the "
-                             "spectrum (see filter_values)")
-        if nu_max < 1:
-            raise ValueError("nu_max must be >= 1")
         return FilterFamily("landweber", D=1.0, B=2.0, gamma=1.0,
-                            qualification_p=math.inf, gamma_p=1.0 / math.e,
-                            t_max=t_max, nu_max=int(nu_max))
+                            qualification_p=math.inf, gamma_p=1.0 / math.e)
     raise ValueError(f"unknown filter {name!r}; expected one of "
                      f"{FILTER_NAMES}")
 
 
-def _validate(filt: FilterFamily, lam: float, t: np.ndarray) -> np.ndarray:
+def _validate(lam: float, spectrum, kappa_sq: float) -> np.ndarray:
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    t = np.asarray(t, dtype=np.float64)
+    t = np.asarray(spectrum, dtype=np.float64)
     if np.any(t < 0):
         raise ValueError("spectrum entries must be nonnegative")
-    if np.any(t > filt.t_max * (1.0 + 1e-12)):
-        raise ValueError(f"spectrum entry exceeds t_max={filt.t_max}; "
-                         "rescale before filtering")
+    if np.any(t > kappa_sq * (1.0 + _SPECTRUM_SLACK)):
+        raise ValueError(f"spectrum entry exceeds kappa_sq={kappa_sq}")
     return t
 
 
-def landweber_iterations(lam: float, nu_max: int = DEFAULT_NU_MAX) -> int:
-    return min(math.ceil(1.0 / lam), int(nu_max))
+def landweber_iterations(lam: float) -> int:
+    return min(math.ceil(1.0 / lam), _LANDWEBER_NU_CAP)
 
 
-def apply_filter(filt: FilterFamily, lam: float, spectrum) -> np.ndarray:
-    """Elementwise g_lambda over the spectrum."""
-    t = _validate(filt, lam, spectrum)
+def filter_values(filt: FilterFamily, lam: float, spectrum,
+                  kappa_sq: float = 1.0) -> np.ndarray:
+    """Elementwise g_lambda over a spectrum in [0, kappa_sq]."""
+    t = _validate(lam, spectrum, kappa_sq)
     if filt.id == "tikhonov":
         return 1.0 / (t + lam)
     if filt.id == "cutoff":
@@ -118,7 +114,8 @@ def apply_filter(filt: FilterFamily, lam: float, spectrum) -> np.ndarray:
         hit = t >= lam
         out[hit] = 1.0 / t[hit]
         return out
-    nu = landweber_iterations(lam, filt.nu_max)
+    t = t / kappa_sq
+    nu = landweber_iterations(lam)
     # geometric partial sum (1 - (1-t)^nu) / t, written via expm1/log1p
     # so huge nu and tiny t lose no precision; limit nu at t = 0
     out = np.full_like(t, float(nu))
@@ -126,51 +123,20 @@ def apply_filter(filt: FilterFamily, lam: float, spectrum) -> np.ndarray:
     tp = np.minimum(t[pos], 1.0)  # tolerate eigensolver overshoot above 1
     with np.errstate(divide="ignore"):
         out[pos] = -np.expm1(nu * np.log1p(-tp)) / tp
-    return out
+    return out / kappa_sq
 
 
-def residual(filt: FilterFamily, lam: float, spectrum) -> np.ndarray:
+def residual_values(filt: FilterFamily, lam: float, spectrum,
+                    kappa_sq: float = 1.0) -> np.ndarray:
     """Elementwise residual r_lambda(t) = 1 - t g_lambda(t)."""
-    t = _validate(filt, lam, spectrum)
+    t = _validate(lam, spectrum, kappa_sq)
     if filt.id == "tikhonov":
         return lam / (t + lam)
     if filt.id == "cutoff":
         return np.where(t >= lam, 0.0, 1.0)
-    nu = landweber_iterations(lam, filt.nu_max)
+    nu = landweber_iterations(lam)
     with np.errstate(divide="ignore"):
-        return np.exp(nu * np.log1p(-np.minimum(t, 1.0)))
-
-
-def filter_values(filt: FilterFamily, lam: float, spectrum,
-                  prescale: float = 1.0) -> np.ndarray:
-    """g_lambda with optional spectrum pre-scaling.
-
-    For filters restricted to [0, 1] (landweber) the estimator rescales
-    the spectrum by c and unscales the output: g(t) = (1/c) g~(t/c).
-    """
-    t = np.asarray(spectrum, dtype=np.float64)
-    return apply_filter(filt, lam, t / prescale) / prescale
-
-
-def residual_values(filt: FilterFamily, lam: float, spectrum,
-                    prescale: float = 1.0) -> np.ndarray:
-    t = np.asarray(spectrum, dtype=np.float64)
-    return residual(filt, lam, t / prescale)
-
-
-def for_spectrum(filt: FilterFamily,
-                 kappa_sq: float) -> Tuple[FilterFamily, float]:
-    """A (filter, prescale) pair able to act on spectra bounded by kappa_sq.
-
-    Landweber keeps t_max = 1 and divides the spectrum by kappa^2; the
-    other filters simply widen their declared t_max when the spectrum
-    bound exceeds it (their formulas are valid on any bounded spectrum).
-    """
-    if filt.id == "landweber":
-        return filt, float(kappa_sq)
-    if kappa_sq > filt.t_max:
-        return replace(filt, t_max=float(kappa_sq) * (1.0 + 1e-9)), 1.0
-    return filt, 1.0
+        return np.exp(nu * np.log1p(-np.minimum(t / kappa_sq, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +147,8 @@ def default_lambda_grid() -> np.ndarray:
     return np.geomspace(1e-6, 1.0, 400)
 
 
-def default_t_grid(t_max: float = 1.0) -> np.ndarray:
-    return np.linspace(0.0, t_max, 1000)
+def default_t_grid() -> np.ndarray:
+    return np.linspace(0.0, 1.0, 1000)
 
 
 @dataclass(frozen=True)
@@ -200,14 +166,14 @@ def check_regularization_constants(filt: FilterFamily,
     """Observed suprema of the three basic conditions over the grids."""
     lams = default_lambda_grid() if lambda_grid is None else \
         np.asarray(lambda_grid, dtype=np.float64)
-    ts = default_t_grid(filt.t_max) if t_grid is None else \
+    ts = default_t_grid() if t_grid is None else \
         np.asarray(t_grid, dtype=np.float64)
     if lams.size == 0 or ts.size == 0:
         raise ValueError("grids must be nonempty")
     D_obs = B_obs = gamma_obs = 0.0
     for lam in lams:
-        g = apply_filter(filt, float(lam), ts)
-        r = residual(filt, float(lam), ts)
+        g = filter_values(filt, float(lam), ts)
+        r = residual_values(filt, float(lam), ts)
         D_obs = max(D_obs, float(np.abs(ts * g).max()))
         B_obs = max(B_obs, float(np.abs(g).max() * lam))
         gamma_obs = max(gamma_obs, float(np.abs(r).max()))
@@ -223,11 +189,11 @@ def check_qualification(filt: FilterFamily, p: float,
         raise ValueError("p must be positive")
     lams = default_lambda_grid() if lambda_grid is None else \
         np.asarray(lambda_grid, dtype=np.float64)
-    ts = default_t_grid(filt.t_max) if t_grid is None else \
+    ts = default_t_grid() if t_grid is None else \
         np.asarray(t_grid, dtype=np.float64)
     worst = 0.0
     for lam in lams:
-        r = residual(filt, float(lam), ts)
+        r = residual_values(filt, float(lam), ts)
         worst = max(worst, float((np.abs(r) * ts ** p).max() / lam ** p))
     return worst
 
@@ -276,13 +242,13 @@ def check_prop_regularization(filt: FilterFamily, phi: IndexFunction,
         raise ValueError(f"qualification p={p} does not cover phi")
     lams = default_lambda_grid() if lambda_grid is None else \
         np.asarray(lambda_grid, dtype=np.float64)
-    ts = default_t_grid(filt.t_max) if t_grid is None else \
+    ts = default_t_grid() if t_grid is None else \
         np.asarray(t_grid, dtype=np.float64)
     c_p = max(filt.gamma, filt.gamma_p_at(p))
     ratio_1 = ratio_2 = 0.0
     for lam in lams:
         lam = float(lam)
-        r = np.abs(residual(filt, lam, ts))
+        r = np.abs(residual_values(filt, lam, ts))
         denom = float(np.asarray(phi(np.array(lam))))
         ratio_1 = max(ratio_1, float((r * np.asarray(phi(ts))).max()) / denom)
         ratio_2 = max(ratio_2,

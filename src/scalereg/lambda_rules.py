@@ -16,12 +16,10 @@ pinned value; it is not one of the analysis rules.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from .effdim import effdim
 from .model import SmoothnessSpec, SpectralProblem
@@ -30,13 +28,6 @@ LAMBDA_FLOOR = 1e-14
 
 RULE_NAMES = ("balance_effdim", "phi_inverse", "balance_general",
               "power_table", "fixed")
-
-
-def _as_effdim_fn(spectrum_or_fn) -> Callable[[float], float]:
-    if callable(spectrum_or_fn):
-        return spectrum_or_fn
-    t = np.asarray(spectrum_or_fn, dtype=np.float64)
-    return lambda lam: effdim(t, lam)
 
 
 def _log_bisect(h, lo: float, hi: float, iters: int = 120) -> float:
@@ -51,16 +42,16 @@ def _log_bisect(h, lo: float, hi: float, iters: int = 120) -> float:
     return math.exp(0.5 * (llo + lhi))
 
 
-def lambda_balance_effdim(spectrum_or_fn, m: int) -> float:
-    """Root of N(lambda) = m * lambda on (0, 1].
+def lambda_balance_effdim(spectrum, m: int) -> float:
+    """Root of N(lambda) = m * lambda on (0, 1], N the spectrum's
+    effective dimension.
 
-    Accepts either a spectrum vector or a callable N(lambda).  If even
-    lambda = 1 cannot satisfy the equation (N(1) > m) the sample is too
-    small; 1.0 is returned with a warning.
+    If even lambda = 1 cannot satisfy the equation (N(1) > m) the sample
+    is too small; 1.0 is returned with a warning.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    N = _as_effdim_fn(spectrum_or_fn)
+    N = functools.partial(effdim, spectrum)
     if N(1.0) > m:
         warnings.warn(f"N(1) = {N(1.0):.3g} > m = {m}: sample too small "
                       "for the balancing equation; returning lambda = 1")
@@ -83,7 +74,7 @@ def lambda_phi_inverse(a_link: float, q: float, m: int) -> float:
     return min(max(lam, LAMBDA_FLOOR), 1.0)
 
 
-def lambda_balance_general(spectrum_or_fn, spec: SmoothnessSpec,
+def lambda_balance_general(spectrum, spec: SmoothnessSpec,
                            m: int) -> float:
     """Root of m * lambda^(2a(r-1)+1) = N(lambda) on (0, 1].
 
@@ -95,11 +86,10 @@ def lambda_balance_general(spectrum_or_fn, spec: SmoothnessSpec,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    N = _as_effdim_fn(spectrum_or_fn)
     expo = 2.0 * spec.a_link * (spec.r - 1.0) + 1.0
 
     def h(lam):
-        return N(lam) - m * lam ** expo
+        return effdim(spectrum, lam) - m * lam ** expo
 
     if h(1.0) > 0.0:
         warnings.warn("no sign change up to lambda = 1; returning 1")

@@ -67,7 +67,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .filters import FilterFamily, filter_values, for_spectrum
+from .filters import FilterFamily, filter_values
 from .indexfn import IndexFunction
 from .model import SpectralProblem, _cosine_coef, forward_eval
 
@@ -378,8 +378,7 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     T_x is assembled and numpy's LU solve of the same system answers
     (``lu_fallback``).  When m < d, u = Phi^T (Phi Phi^T / m + lambda I)^-1
     y / m by LU.  The other filters act through the eigenvectors of T_x
-    (m >= d) or of the m-by-m Gram matrix (m < d).  Filters that need
-    spectra in [0, 1] are fed T_x / kappa^2 and their output is rescaled.
+    (m >= d) or of the m-by-m Gram matrix (m < d).
 
     The LU solves use numpy rather than scipy's Cholesky: numpy and
     scipy each bundle their own OpenBLAS thread pool, and waking both in
@@ -393,7 +392,6 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     y = dataset.y
     phi = design_matrix(problem, dataset.x)
     tikhonov = filt.id == "tikhonov"
-    work, c = for_spectrum(filt, problem.kappa_sq)
     steps, fallback = 0, False
 
     if m >= d:
@@ -405,17 +403,17 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
                 u, fallback = _shifted_solve(T.toarray(), lam, bvec), True
         else:
             evals, V = _clamped_eigh(T.toarray(), problem.kappa_sq)
-            g = filter_values(work, lam, evals, prescale=c)
+            g = filter_values(filt, lam, evals, problem.kappa_sq)
             u = V @ (g * (V.T @ bvec))
     elif m * d <= _SVD_DIRECT_LIMIT:
         _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
-        g = filter_values(work, lam, s * s, prescale=c)
+        g = filter_values(filt, lam, s * s, problem.kappa_sq)
         u = Wt.T @ (g * (Wt @ (phi.T @ y / m)))
     elif tikhonov:
         u = phi.T @ _shifted_solve(gram(phi) / m, lam, y) / m
     else:
         evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
-        g = filter_values(work, lam, evals, prescale=c)
+        g = filter_values(filt, lam, evals, problem.kappa_sq)
         u = phi.T @ (U @ (g * (U.T @ y))) / m
     return Estimate(f_hat=u / problem.l, u_hat=u, lam=float(lam),
                     filter_id=filt.id, m=m, cg_steps=steps,

@@ -90,6 +90,26 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
         cfg = _write(tmp_path, "cfg.json", dict(SMALL_RATE, lambda_rule=rule))
         assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 65
         assert f"config error at {pointer}:" in capsys.readouterr().err, rule
+    # integer fields take integers (or integral floats), never a bool or
+    # a truncated fraction
+    for command, doc, override, pointer in [
+            ("rate", SMALL_RATE, "seed=1.5", "/seed"),
+            ("rate", SMALL_RATE, "seed=true", "/seed"),
+            ("rate", SMALL_RATE, "trials_per_m=10.9", "/trials_per_m"),
+            ("rate", SMALL_RATE, "trials_per_m=false", "/trials_per_m"),
+            ("rate", SMALL_RATE, "m_grid=[64, 128.5, 256, 512]", "/m_grid"),
+            ("rate", SMALL_RATE, "problem.d=32.5", "/problem/d"),
+            ("bounds", SMALL_BOUNDS, "m_values=[1024.9]", "/m_values"),
+            ("bounds", SMALL_BOUNDS, "m_values=[true]", "/m_values"),
+            ("bounds", SMALL_BOUNDS, "trials=true", "/trials"),
+            ("decompose", {"kernel": "k2"}, "grid_n=64.5", "/grid_n")]:
+        cfg = _write(tmp_path, "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--set", override]) == 65, override
+        assert f"config error at {pointer}:" in capsys.readouterr().err, \
+            override
+        assert not (out / "manifest.json").exists(), override
 
 
 @pytest.mark.parametrize("command", ["rate", "bounds"])
@@ -180,6 +200,21 @@ def test_effdim_command_with_expected_exponent(tmp_path, capsys):
     assert "PASS" in printed
     lines = (out / "effdim.csv").read_text().splitlines()
     assert lines[0] == "lambda,n_effective" and len(lines) > 100
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("effdim", {"problem": {"s": 1.0, "a_link": 0.5, "r": 0.5,
+                                        "q": 1.0, "v_pattern": "seeded",
+                                        "d": 64}}, id="effdim"),
+    pytest.param("decompose", {"kernel": "k2", "grid_n": 32}, id="decompose")])
+def test_config_seed_reaches_the_manifest(tmp_path, command, doc):
+    cfg = _write(tmp_path, "cfg.json", dict(doc, seed=5))
+    for extra, want in (([], 5), (["--seed", "3"], 3),
+                        (["--set", "seed=4.0"], 4)):
+        out = tmp_path / f"out{want}"
+        assert main([command, "--config", cfg, "--out", str(out)]
+                    + extra) == 0
+        assert read_json(out / "manifest.json")["seed"] == want
 
 
 def test_bounds_command(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scalereg import (
     FILTER_NAMES,
-    apply_filter,
     check_covering,
     check_prop_regularization,
     check_qualification,
@@ -15,11 +14,9 @@ from scalereg import (
     default_lambda_grid,
     default_t_grid,
     filter_values,
-    for_spectrum,
     landweber_iterations,
     make_filter,
     power_fn,
-    residual,
     residual_values,
 )
 
@@ -31,7 +28,6 @@ def test_default_grids():
     assert lg.size == 400 and lg[0] == pytest.approx(1e-6) and lg[-1] == 1.0
     tg = default_t_grid()
     assert tg.size == 1000 and tg[0] == 0.0 and tg[-1] == 1.0
-    assert default_t_grid(3.0)[-1] == 3.0
 
 
 def test_make_filter_ids_and_validation():
@@ -39,25 +35,21 @@ def test_make_filter_ids_and_validation():
         assert make_filter(name).id == name
     with pytest.raises(ValueError):
         make_filter("ridge")
-    with pytest.raises(ValueError):
-        make_filter("landweber", t_max=2.0)
-    with pytest.raises(ValueError):
-        make_filter("tikhonov", t_max=0.0)
 
 
 def test_tikhonov_values():
     filt = make_filter("tikhonov")
     t = np.array([0.0, 0.1, 1.0])
-    np.testing.assert_allclose(apply_filter(filt, 0.5, t), 1.0 / (t + 0.5))
-    np.testing.assert_allclose(residual(filt, 0.5, t), 0.5 / (t + 0.5))
+    np.testing.assert_allclose(filter_values(filt, 0.5, t), 1.0 / (t + 0.5))
+    np.testing.assert_allclose(residual_values(filt, 0.5, t), 0.5 / (t + 0.5))
 
 
 def test_cutoff_values():
     filt = make_filter("cutoff")
     t = np.array([0.01, 0.5, 1.0])
-    got = apply_filter(filt, 0.25, t)
+    got = filter_values(filt, 0.25, t)
     np.testing.assert_allclose(got, [0.0, 2.0, 1.0])
-    np.testing.assert_allclose(residual(filt, 0.25, t), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(residual_values(filt, 0.25, t), [1.0, 0.0, 0.0])
 
 
 def test_landweber_iteration_count_and_values():
@@ -69,8 +61,8 @@ def test_landweber_iteration_count_and_values():
     nu = landweber_iterations(lam)
     t = np.array([0.0, 0.3, 1.0])
     want_g = np.array([float(nu), (1.0 - 0.7 ** nu) / 0.3, 1.0])
-    np.testing.assert_allclose(apply_filter(filt, lam, t), want_g, rtol=1e-12)
-    np.testing.assert_allclose(residual(filt, lam, t),
+    np.testing.assert_allclose(filter_values(filt, lam, t), want_g, rtol=1e-12)
+    np.testing.assert_allclose(residual_values(filt, lam, t),
                                (1.0 - t) ** nu, rtol=1e-12)
 
 
@@ -114,8 +106,8 @@ def test_filter_and_residual_pointwise_envelopes(lam):
     t = default_t_grid()
     for name in FILTER_NAMES:
         filt = make_filter(name)
-        g = apply_filter(filt, lam, t)
-        r = residual(filt, lam, t)
+        g = filter_values(filt, lam, t)
+        r = residual_values(filt, lam, t)
         assert np.all(np.abs(t * g) <= filt.D + 1e-9)
         assert np.all(np.abs(g) * lam <= filt.B + 1e-9)
         assert np.all(np.abs(r) <= filt.gamma + 1e-9)
@@ -126,11 +118,24 @@ def test_nonpositive_lambda_and_oversized_spectrum_rejected():
     filt = make_filter("tikhonov")
     for lam in (0.0, -1.0):
         with pytest.raises(ValueError):
-            apply_filter(filt, lam, np.array([0.5]))
+            filter_values(filt, lam, np.array([0.5]))
     with pytest.raises(ValueError):
-        apply_filter(filt, 0.1, np.array([1.5]))
+        filter_values(filt, 0.1, np.array([1.5]))
     with pytest.raises(ValueError):
-        apply_filter(filt, 0.1, np.array([-0.5]))
+        filter_values(filt, 0.1, np.array([-0.5]))
+
+
+@pytest.mark.parametrize("name", FILTER_NAMES)
+@pytest.mark.parametrize("kappa_sq", [1.0, 0.3, 4.0])
+def test_spectrum_outside_zero_to_kappa_sq_rejected(name, kappa_sq):
+    # one rule for every filter: 0 <= t <= kappa^2 (1 + 1e-9)
+    filt = make_filter(name)
+    edge = np.array([0.0, kappa_sq * (1.0 + 0.5e-9)])
+    for fn in (filter_values, residual_values):
+        assert np.all(np.isfinite(fn(filt, 0.1, edge, kappa_sq)))
+        for bad in (-1e-300, -0.5, kappa_sq * (1.0 + 2e-9), 2.0 * kappa_sq):
+            with pytest.raises(ValueError):
+                fn(filt, 0.1, np.array([0.5 * kappa_sq, bad]), kappa_sq)
 
 
 def test_covering_checks():
@@ -161,22 +166,45 @@ def test_prop_regularization_refuses_uncovered_phi():
 
 
 def test_spectrum_rescaling_routes():
-    # spectra above the canonical domain: landweber is prescaled, the
-    # others get a widened domain
+    # spectra above the canonical domain: landweber acts on t / kappa^2,
+    # the others on t itself
     spectrum = np.array([2.5, 1.0, 0.25])
     lam = 0.1
 
-    lw, c = for_spectrum(make_filter("landweber"), kappa_sq=4.0)
-    assert c == 4.0 and lw.t_max == 1.0
-    # lambda stays in filter units: g(t) = (1/c) g~_lambda(t/c)
-    g = filter_values(lw, lam, spectrum, prescale=c)
+    lw = make_filter("landweber")
+    # lambda stays in filter units: g(t) = g~_lambda(t / kappa^2) / kappa^2
+    g = filter_values(lw, lam, spectrum, kappa_sq=4.0)
     nu = landweber_iterations(lam)
-    want = (1.0 - (1.0 - spectrum / c) ** nu) / spectrum
+    want = (1.0 - (1.0 - spectrum / 4.0) ** nu) / spectrum
     np.testing.assert_allclose(g, want, rtol=1e-10)
-    r = residual_values(lw, lam, spectrum, prescale=c)
+    r = residual_values(lw, lam, spectrum, kappa_sq=4.0)
     np.testing.assert_allclose(r, 1.0 - spectrum * g, atol=1e-12)
 
-    tik, c_tik = for_spectrum(make_filter("tikhonov"), kappa_sq=2.5)
-    assert c_tik == 1.0 and tik.t_max >= 2.5
-    np.testing.assert_allclose(apply_filter(tik, lam, spectrum),
+    tik = make_filter("tikhonov")
+    np.testing.assert_allclose(filter_values(tik, lam, spectrum, kappa_sq=2.5),
                                1.0 / (spectrum + lam))
+
+
+@pytest.mark.parametrize("kappa_sq", [0.3, 1.0, 2.5, 4.0, 1e3])
+def test_landweber_acts_on_t_over_kappa_sq(kappa_sq):
+    # bit for bit: g(t) = g~(t / kappa^2) / kappa^2, r(t) = r~(t / kappa^2)
+    lw = make_filter("landweber")
+    t = default_t_grid() * kappa_sq
+    for lam in (0.5, 0.01, 1e-7):
+        assert np.array_equal(filter_values(lw, lam, t, kappa_sq),
+                              filter_values(lw, lam, t / kappa_sq) / kappa_sq)
+        assert np.array_equal(residual_values(lw, lam, t, kappa_sq),
+                              residual_values(lw, lam, t / kappa_sq))
+
+
+@pytest.mark.parametrize("name", ["tikhonov", "cutoff"])
+def test_tikhonov_and_cutoff_ignore_kappa_sq(name):
+    # on t <= min(1, kappa^2) the value does not depend on kappa^2 at all
+    filt = make_filter(name)
+    for kappa_sq in (0.3, 1.0, 2.5, 1e3):
+        t = default_t_grid() * min(1.0, kappa_sq)
+        for lam in (0.5, 0.01, 1e-7):
+            assert np.array_equal(filter_values(filt, lam, t, kappa_sq),
+                                  filter_values(filt, lam, t))
+            assert np.array_equal(residual_values(filt, lam, t, kappa_sq),
+                                  residual_values(filt, lam, t))

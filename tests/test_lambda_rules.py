@@ -24,12 +24,6 @@ def test_balance_scalar_oracle():
     assert lam == pytest.approx(0.36602540378443865)
 
 
-def test_balance_accepts_effdim_callable():
-    # N(lam) = lam^{-1/2}: root of lam^{3/2} = 1/m at m = 1000
-    lam = lambda_balance_effdim(lambda lam: lam ** -0.5, 1000)
-    assert lam == pytest.approx(10.0 ** -2, rel=1e-10)
-
-
 def test_balance_warns_and_saturates_when_m_too_small():
     t = np.ones(50)
     with pytest.warns(UserWarning):
@@ -67,10 +61,16 @@ def test_balance_general_matches_effdim_balance_at_r_one():
     assert lam_g == pytest.approx(lam_b, rel=1e-9)
 
 
-def test_balance_general_callable_oracle():
-    spec = SmoothnessSpec(r=1.0, a_link=0.5, q=1.0, R_dagger=1.0, s=1.0)
-    lam = lambda_balance_general(lambda lam: lam ** -0.5, spec, 1000)
-    assert lam == pytest.approx(0.01, rel=1e-9)
+def test_balance_general_scalar_oracle():
+    # single eigenvalue 1 and exponent 2a(r-1)+1 = 2: 1/(1+lam) = m lam^2,
+    # the positive root of m lam^3 + m lam^2 - 1
+    spec = SmoothnessSpec(r=2.0, a_link=0.5, q=2.0, R_dagger=1.0, s=1.0)
+    m = 2
+    want = [z.real for z in np.roots([m, m, 0.0, -1.0])
+            if abs(z.imag) < 1e-12 and z.real > 0]
+    assert len(want) == 1
+    lam = lambda_balance_general(np.array([1.0]), spec, m)
+    assert lam == pytest.approx(want[0], rel=1e-9)
 
 
 def test_power_table_regular_regimes():
