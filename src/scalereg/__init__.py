@@ -19,7 +19,7 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       check_qualification, check_regularization_constants,
                       default_lambda_grid, default_t_grid, filter_values,
                       landweber_iterations, make_filter, residual_values)
-from .harness import (CASES, ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
+from .harness import (ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
                       RateReport, config_hash, run_rate_experiment,
                       theoretical_exponent, truncation_dim)
 from .indexfn import (IDENTITY, IndexFunction, check_index_function,
@@ -28,11 +28,10 @@ from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
                            lambda_balance_general, lambda_phi_inverse,
                            lambda_power_table)
 from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
-                     midpoint_grid, problem_from_mercer)
-from .model import (NoiseModel, SmoothnessSpec, SpectralProblem,
+                     midpoint_grid)
+from .model import (CASES, NoiseModel, SmoothnessSpec, SpectralProblem,
                     build_power_problem, forward_eval,
-                    gaussian_noise, hilbert_scale_norm, problem_from_dict,
-                    problem_to_dict)
+                    gaussian_noise, hilbert_scale_norm, problem_from_dict)
 from .sampling import (Dataset, Estimate, design_matrix, empirical_cov,
                        errors, estimate, sample_dataset)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,15 +27,14 @@ from .effdim import effdim_curve, fit_effdim_exponent
 from .filters import (FILTER_NAMES, check_prop_regularization,
                       check_qualification, check_regularization_constants,
                       make_filter)
-from .harness import (CASES, ExperimentConfig, PowerProblemSpec,
-                      run_rate_experiment)
+from .harness import ExperimentConfig, PowerProblemSpec, run_rate_experiment
 from .indexfn import from_config as indexfn_from_config
 from .indexfn import power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule
 from .mercer import K2_NOTE, mercer_decompose
-from .model import problem_from_dict
-from .reporting import (write_bounds_csv, write_distance_csv,
-                        write_effdim_csv, write_json, write_manifest,
+from .model import CASES, problem_from_dict
+from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
+                        write_curve_csv, write_json, write_manifest,
                         write_rate_csv)
 from .svgplot import write_loglog_svg
 
@@ -90,6 +90,27 @@ def _strict_int(val) -> int:
     raise ValueError(f"not an integer: {val!r}")
 
 
+def _strict_float(val) -> float:
+    """A finite JSON number as a float.
+
+    true/false, strings ("2" and "nan" included) and nan/inf raise
+    ValueError; an integer beyond the float range raises OverflowError.
+    """
+    if (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val)):
+        return float(val)
+    raise ValueError(f"not a finite number: {val!r}")
+
+
+def _strict_str(val) -> str:
+    if isinstance(val, str):
+        return val
+    raise ValueError(f"not a string: {val!r}")
+
+
+_READERS = {int: _strict_int, float: _strict_float, str: _strict_str}
+
+
 def _get(doc, key, ptr, cast=None, default=_MISSING, choices=None):
     if not isinstance(doc, dict):
         raise ConfigError(ptr, "expected an object")
@@ -100,8 +121,8 @@ def _get(doc, key, ptr, cast=None, default=_MISSING, choices=None):
     val = doc[key]
     if cast is not None:
         try:
-            val = _strict_int(val) if cast is int else cast(val)
-        except (TypeError, ValueError):
+            val = _READERS[cast](val)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{ptr}/{key}",
                               f"cannot interpret {val!r} as {cast.__name__}")
     if choices is not None and val not in choices:
@@ -115,8 +136,8 @@ def _float_list(doc, key, ptr, default=_MISSING):
     if raw is default and default is not _MISSING:
         return default
     try:
-        vals = [float(v) for v in raw]
-    except (TypeError, ValueError):
+        vals = [_strict_float(v) for v in raw]
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{ptr}/{key}", "must be a list of numbers")
     if not vals:
         raise ConfigError(f"{ptr}/{key}", "must be nonempty")
@@ -260,7 +281,8 @@ def _cmd_effdim(doc, out: Path, seed: int) -> int:
     if not 0 < lo < hi:
         raise ConfigError("/lambda_lo", "need 0 < lambda_lo < lambda_hi")
     curve = effdim_curve(spectrum, lo, hi, ppd)
-    write_effdim_csv(out / "effdim.csv", curve.lambdas, curve.values)
+    write_curve_csv(out / "effdim.csv", EFFDIM_HEADER, curve.lambdas,
+                    curve.values)
     write_manifest(out / "manifest.json", doc, seed)
     rc = EX_OK
     msg = (f"effdim: N({lo:g}) = {curve.values[0]:.6g}, "
@@ -337,7 +359,8 @@ def _cmd_distance(doc, out: Path, seed: int) -> int:
     if qv is not None and qv <= 1:
         raise ConfigError("/q", "needs q > 1")
     curve = distance_curve(problem, Rs, q=qv)
-    write_distance_csv(out / "distance.csv", curve.Rs, curve.values)
+    write_curve_csv(out / "distance.csv", DISTANCE_HEADER, curve.Rs,
+                    curve.values)
     write_manifest(out / "manifest.json", doc, seed)
     print(f"distance: {len(Rs)} points, d({min(Rs):g}) = "
           f"{curve.values[int(np.argmin(Rs))]:.6g}, d({max(Rs):g}) = "

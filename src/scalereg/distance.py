@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SmoothnessSpec, SpectralProblem
+from .model import CASES, SmoothnessSpec, SpectralProblem
 
 _ROOT_TOL = 1e-12
 _MAX_BISECT = 200
-
-CASES = ("oversmoothing", "regular")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ from .model import SpectralProblem
 # far below any real exceedance.
 _TOP_RTOL = 1e-12
 
+# report threshold of check_effdim_relation, not a derived constant
+_RELATION_CEILING = 8.0
+
 
 def effdim(spectrum, lam: float) -> float:
     """N(lambda) = sum_j t_j / (t_j + lambda)."""
@@ -28,12 +31,10 @@ def effdim(spectrum, lam: float) -> float:
 class EffDimCurve:
     lambdas: np.ndarray
     values: np.ndarray
-    spectrum_id: str = ""
 
 
 def effdim_curve(spectrum, lambda_lo: float, lambda_hi: float,
-                 points_per_decade: int = 40,
-                 spectrum_id: str = "") -> EffDimCurve:
+                 points_per_decade: int = 40) -> EffDimCurve:
     """Log-spaced effective-dimension curve on [lambda_lo, lambda_hi]."""
     if not 0 < lambda_lo < lambda_hi:
         raise ValueError("need 0 < lambda_lo < lambda_hi")
@@ -42,11 +43,11 @@ def effdim_curve(spectrum, lambda_lo: float, lambda_hi: float,
     lams = np.geomspace(lambda_lo, lambda_hi, n)
     t = np.asarray(spectrum, dtype=np.float64)
     vals = (t[None, :] / (t[None, :] + lams[:, None])).sum(axis=1)
-    return EffDimCurve(lambdas=lams, values=vals, spectrum_id=spectrum_id)
+    return EffDimCurve(lambdas=lams, values=vals)
 
 
-def fit_effdim_exponent(spectrum, lambda_lo: float, lambda_hi: float,
-                        n_points: int | None = None) -> dict:
+def fit_effdim_exponent(spectrum, lambda_lo: float,
+                        lambda_hi: float) -> dict:
     """Least-squares decay exponent of N(lambda) ~ lambda^(-b).
 
     Refuses ranges where N(lambda_lo) >= d/2: there the finite
@@ -55,12 +56,7 @@ def fit_effdim_exponent(spectrum, lambda_lo: float, lambda_hi: float,
     if not 0 < lambda_lo < lambda_hi <= 1.0:
         raise ValueError("need 0 < lambda_lo < lambda_hi <= 1")
     t = np.asarray(spectrum, dtype=np.float64)
-    if n_points is None:
-        curve = effdim_curve(t, lambda_lo, lambda_hi)
-    else:
-        lams = np.geomspace(lambda_lo, lambda_hi, n_points)
-        vals = (t[None, :] / (t[None, :] + lams[:, None])).sum(axis=1)
-        curve = EffDimCurve(lams, vals)
+    curve = effdim_curve(t, lambda_lo, lambda_hi)
     if curve.values[0] >= t.size / 2:
         raise ValueError(
             f"N(lambda_lo) = {curve.values[0]:.1f} >= d/2 = {t.size / 2}: "
@@ -100,12 +96,12 @@ def check_tail_condition(spectrum, t_grid) -> float:
 
 
 def check_effdim_relation(problem: SpectralProblem, rho: IndexFunction,
-                          lambda_grid, ceiling: float = 8.0) -> dict:
+                          lambda_grid) -> dict:
     """Compare N_L(lambda / rho(lambda)^2) against N_T(lambda).
 
     The ratio of the two effective dimensions stays below a modest
-    constant when the link between the scales holds; ``ceiling`` is a
-    report threshold, not a derived constant.  Grid points where the
+    constant when the link between the scales holds; the check passes
+    at ratios up to ``_RELATION_CEILING`` (8).  Grid points where the
     rescaled argument exceeds the top of the L-spectrum by more than the
     relative tolerance ``_TOP_RTOL`` (1e-12) are skipped with a warning;
     the tolerance absorbs rounding only.  On a flat L-spectrum
@@ -130,5 +126,6 @@ def check_effdim_relation(problem: SpectralProblem, rho: IndexFunction,
         warnings.warn(f"skipped {skipped} grid points whose rescaled "
                       f"argument exceeded the L-spectrum top {top:.3g}")
     checked = skipped < lams.size
-    return {"max_ratio": max_ratio, "pass": checked and max_ratio <= ceiling,
+    return {"max_ratio": max_ratio,
+            "pass": checked and max_ratio <= _RELATION_CEILING,
             "n_skipped": skipped}

@@ -20,11 +20,11 @@ import numpy as np
 from .filters import check_covering, make_filter
 from .indexfn import IndexFunction, from_config, power_fn, to_config
 from .lambda_rules import LambdaRule, _rate_regime
-from .model import SpectralProblem, build_power_problem
+from .model import (CASES, V_PATTERNS, SmoothnessSpec, SpectralProblem,
+                    build_power_problem)
 from .sampling import errors, estimate, sample_dataset
 
 ERROR_NORMS = ("h", "prediction", "zeta")
-CASES = ("oversmoothing", "regular")
 
 DEFAULT_TOLERANCE = 0.08
 _DEGENERATE_FLOOR = 1e-13
@@ -76,6 +76,12 @@ class PowerProblemSpec:
     sigma: float = 0.05
     v_pattern: str = "constant"
     d_override: Optional[int] = None
+
+    def __post_init__(self):
+        SmoothnessSpec(r=self.r, a_link=self.a_link, q=self.q,
+                       R_dagger=self.R_dagger, s=self.s)
+        if self.v_pattern not in V_PATTERNS:
+            raise ValueError(f"v_pattern must be one of {V_PATTERNS}")
 
     def build(self, m: int, seed: int) -> SpectralProblem:
         d = self.d_override or truncation_dim(m, self.s)
@@ -222,23 +228,27 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
             config.trials_per_m, dtype=np.uint64)
         cells.append((m, problem, lam, tseeds))
 
-    def one(cell_idx: int, k: int) -> tuple:
-        m, problem, lam, tseeds = cells[cell_idx]
-        ds = sample_dataset(problem, m, int(tseeds[k]))
+    def one(problem: SpectralProblem, m: int, lam: float, k: int,
+            tseed) -> tuple:
+        ds = sample_dataset(problem, m, int(tseed))
         est = estimate(problem, ds, filt, lam)
         val = errors(problem, est, zeta=zeta)[key]
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite error in cell m={m}, trial={k}")
         return val, math.inf if est.lu_fallback else est.cg_steps
 
-    flat = [one(ci, k) for ci in range(len(cells))
-            for k in range(config.trials_per_m)]
+    # each trial runs in its own call, and every trial before any cell's
+    # statistics: a trial's arrays held over into the next trial, or
+    # statistics computed between cells, fragment the heap and raise the
+    # peak RSS (by a whole cosine table at worst)
+    results = [[one(problem, m, lam, k, tseed)
+                for k, tseed in enumerate(tseeds)]
+               for m, problem, lam, tseeds in cells]
 
     per_m, log_meds, weights = [], [], []
     degenerate = False
     n = config.trials_per_m
-    for ci, (m, _, lam, _) in enumerate(cells):
-        cell = flat[ci * n:(ci + 1) * n]
+    for (m, _, lam, _), cell in zip(cells, results):
         vals = np.array([val for val, _ in cell])
         med = float(np.median(vals))
         per_m.append({"m": int(m), "lambda_used": float(lam),

@@ -155,9 +155,8 @@ def lambda_power_table(a: float, b: float, r: float, q: float, m: int,
 class LambdaRule:
     """Config-level description of a lambda rule.
 
-    ``params`` may carry: "case" (power_table), "value" (fixed), and
-    overrides for the smoothness parameters otherwise read from the
-    problem.
+    ``params`` may carry "case" (power_table) and "value" (fixed); the
+    smoothness parameters always come from the problem.
     """
 
     kind: str

@@ -22,8 +22,6 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .model import SpectralProblem, gaussian_noise
-
 K2_NOTE = ("kernel k2 is min(x,x') - x*x' (Brownian bridge); the 'xt' in "
            "the source formula is read as a typo for x*x'")
 
@@ -100,25 +98,3 @@ def mercer_decompose(kernel: Union[str, Callable], grid_n: int,
     if np.abs(K - recon).max() > 1e-8 * scale:
         raise RuntimeError("Nystrom reconstruction error above tolerance")
     return w, phi
-
-
-def problem_from_mercer(eigenvalues: np.ndarray, sigma: float = 0.0,
-                        f_true: np.ndarray | None = None) -> SpectralProblem:
-    """Diagonal problem with the covariance spectrum of a kernel.
-
-    The kernel's eigenbasis is replaced by the cosine basis: only the
-    spectrum matters for effective dimension and rate behavior, since
-    the sampling measure is uniform either way.  Zero modes are dropped;
-    the scale operator is the identity (l_j = 1).
-    """
-    w = np.asarray(eigenvalues, dtype=np.float64)
-    w = w[w > 0]
-    d = w.size
-    if d < 2:
-        raise ValueError("need at least two positive eigenvalues")
-    a = np.sqrt(w)
-    if f_true is None:
-        f_true = np.zeros(d)
-    return SpectralProblem(d=d, basis="cosine", a=a, l=np.ones(d),
-                           f_true=np.asarray(f_true, dtype=np.float64),
-                           noise=gaussian_noise(sigma))

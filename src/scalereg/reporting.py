@@ -1,9 +1,8 @@
-"""Report serialization: canonical JSON, CSV emitters/parsers, manifest.
+"""Report serialization: canonical JSON, CSV writers, manifest.
 
 All report files are deterministic functions of their inputs (no
-timestamps), and re-emitting a parsed report reproduces the file byte
-for byte.  Floats in CSV are written with repr(), which round-trips
-exactly; JSON replaces non-finite values by null.
+timestamps).  Floats in CSV are written with repr(), which round-trips
+through float(); JSON replaces non-finite values by null.
 """
 
 from __future__ import annotations
@@ -18,6 +17,8 @@ from importlib import metadata
 
 import numpy as np
 
+EFFDIM_HEADER = ("lambda", "n_effective")
+DISTANCE_HEADER = ("R", "d_value")
 BOUNDS_HEADER = ("quantity", "lambda", "m", "eta", "trials",
                  "quantile", "bound", "coverage")
 RATE_HEADER = ("m", "lambda", "mean", "median", "std", "cg_steps")
@@ -58,54 +59,19 @@ def write_json(path, doc) -> None:
         fh.write(canonical_json(doc))
 
 
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _f(v) -> str:
     return repr(float(v))
 
 
-def _parse(tok: str):
-    return float(tok)
-
-
 # ---------------------------------------------------------------- CSV
 
-def write_effdim_csv(path, lambdas, values) -> None:
+def write_curve_csv(path, header, xs, ys) -> None:
+    """Two float columns under ``header``, one row per (x, y) pair."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("lambda", "n_effective"))
-        for lam, val in zip(lambdas, values):
-            w.writerow((_f(lam), _f(val)))
-
-
-def read_effdim_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["lambda", "n_effective"]:
-        raise ValueError(f"unexpected header {rows[0]!r}")
-    lams = [_parse(r[0]) for r in rows[1:]]
-    vals = [_parse(r[1]) for r in rows[1:]]
-    return lams, vals
-
-
-def write_distance_csv(path, Rs, values) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("R", "d_value"))
-        for R, val in zip(Rs, values):
-            w.writerow((_f(R), _f(val)))
-
-
-def read_distance_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["R", "d_value"]:
-        raise ValueError(f"unexpected header {rows[0]!r}")
-    return ([_parse(r[0]) for r in rows[1:]],
-            [_parse(r[1]) for r in rows[1:]])
+        w.writerow(header)
+        for x, y in zip(xs, ys):
+            w.writerow((_f(x), _f(y)))
 
 
 def write_bounds_csv(path, reports) -> None:
@@ -119,20 +85,6 @@ def write_bounds_csv(path, reports) -> None:
                         _f(doc["eta"]), str(doc["trials"]),
                         _f(doc["empirical_quantile"]),
                         _f(doc["bound_value"]), _f(doc["coverage"])))
-
-
-def read_bounds_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if tuple(rows[0]) != BOUNDS_HEADER:
-        raise ValueError(f"unexpected header {rows[0]!r}")
-    out = []
-    for r in rows[1:]:
-        out.append({"quantity": r[0], "lambda": _parse(r[1]), "m": int(r[2]),
-                    "eta": _parse(r[3]), "trials": int(r[4]),
-                    "empirical_quantile": _parse(r[5]),
-                    "bound_value": _parse(r[6]), "coverage": _parse(r[7])})
-    return out
 
 
 def write_rate_csv(path, report) -> None:
@@ -160,30 +112,6 @@ def write_rate_csv(path, report) -> None:
             else:
                 tok = _f(val) if val is not None else "nan"
             fh.write(f"# {key},{tok}\n")
-
-
-def read_rate_csv(path) -> dict:
-    per_m, footer = [], {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    if tuple(header) != RATE_HEADER:
-        raise ValueError(f"unexpected header {header!r}")
-    for line in lines[1:]:
-        if line.startswith("# "):
-            key, tok = line[2:].split(",", 1)
-            if key in ("pass", "degenerate"):
-                footer[key] = tok == "true"
-            elif key == "config_hash":
-                footer[key] = tok
-            else:
-                footer[key] = _parse(tok)
-            continue
-        r = line.split(",")
-        per_m.append({"m": int(r[0]), "lambda_used": _parse(r[1]),
-                      "mean_error": _parse(r[2]), "median_error": _parse(r[3]),
-                      "std_error": _parse(r[4]), "cg_steps": _parse(r[5])})
-    return {"per_m": per_m, **footer}
 
 
 # ------------------------------------------------------------ manifest

@@ -96,16 +96,12 @@ _BLOCK = 64
 class Dataset:
     x: np.ndarray
     y: np.ndarray
-    seed: int
-    design: str
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=np.float64)
         y = np.ascontiguousarray(self.y, dtype=np.float64)
         if x.ndim != 1 or y.shape != x.shape or x.size < 1:
             raise ValueError("x and y must be equal-length nonempty vectors")
-        if self.design not in DESIGNS:
-            raise ValueError(f"design must be one of {DESIGNS}")
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -155,7 +151,7 @@ def sample_dataset(problem: SpectralProblem, m: int, seed: int,
     sigma = problem.noise.sigma
     if sigma > 0:
         y = y + sigma * _stream(seed, 1).standard_normal(m)
-    return Dataset(x=x, y=y, seed=int(seed), design=design)
+    return Dataset(x=x, y=y)
 
 
 def _design_weights(problem: SpectralProblem) -> np.ndarray:

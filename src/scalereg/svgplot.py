@@ -50,9 +50,8 @@ def _polyline(ax, pts, color, dash=""):
 
 
 def loglog_svg(points, *, fitted_slope=None, theoretical_slope=None,
-               title: str = "", xlabel: str = "m",
-               ylabel: str = "median error") -> str:
-    """Render (x, y) pairs on log-log axes; returns the SVG text.
+               title: str = "") -> str:
+    """Render (m, median error) pairs on log-log axes; returns the SVG.
 
     Reference lines for the two slopes (when given) are anchored at the
     data midpoint, the theoretical one dashed.
@@ -103,10 +102,10 @@ def loglog_svg(points, *, fitted_slope=None, theoretical_slope=None,
                      f'r="3" fill="#1f77b4"/>')
 
     parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" '
-                 f'font-size="12" text-anchor="middle">{xlabel}</text>')
+                 'font-size="12" text-anchor="middle">m</text>')
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{(_MT + _H - _MB) / 2})">{ylabel}</text>')
+                 f'{(_MT + _H - _MB) / 2})">median error</text>')
     if title:
         parts.append(f'<text x="{_W / 2}" y="20" font-size="13" '
                      f'text-anchor="middle">{title}</text>')

@@ -7,7 +7,6 @@ import pytest
 
 import scalereg
 from scalereg.cli import main
-from scalereg.reporting import read_json, read_rate_csv
 
 
 def _write(tmp_path, name, doc):
@@ -38,6 +37,17 @@ SMALL_BOUNDS = {
     "trials": 100,
     "lambda_rule": {"kind": "balance_effdim", "params": {}},
 }
+
+SMALL_EFFDIM = {"spectrum": [1.0, 0.25, 0.0625, 0.015625],
+                "lambda_lo": 1e-3, "lambda_hi": 0.5}
+
+# d = 2 and l = 1: the nearest point of the R-ball to f is f rescaled to
+# norm R, so d(R) = max(|f| - R, 0) with |f| = 1
+INLINE_PROBLEM = {"d": 2, "basis": "cosine", "a": [1.0, 0.5],
+                  "l": [1.0, 1.0], "f_true": [0.6, 0.8],
+                  "noise": {"sigma": 0.0, "M": 1.0, "Sigma": 1.0},
+                  "smoothness": {"r": 0.5, "a_link": 0.5, "q": 1.0,
+                                 "R_dagger": 1.0, "s": 1.0}}
 
 RATE_AND_BOUNDS = [pytest.param("rate", SMALL_RATE, id="rate"),
                    pytest.param("bounds", SMALL_BOUNDS, id="bounds")]
@@ -102,7 +112,21 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("bounds", SMALL_BOUNDS, "m_values=[1024.9]", "/m_values"),
             ("bounds", SMALL_BOUNDS, "m_values=[true]", "/m_values"),
             ("bounds", SMALL_BOUNDS, "trials=true", "/trials"),
-            ("decompose", {"kernel": "k2"}, "grid_n=64.5", "/grid_n")]:
+            ("decompose", {"kernel": "k2"}, "grid_n=64.5", "/grid_n"),
+            # float fields take finite JSON numbers only, and string
+            # fields strings only
+            ("rate", SMALL_RATE, "problem.sigma=true", "/problem/sigma"),
+            ("rate", SMALL_RATE, 'problem.r="2"', "/problem/r"),
+            ("rate", SMALL_RATE, 'tolerance="nan"', "/tolerance"),
+            ("rate", SMALL_RATE, "tolerance=NaN", "/tolerance"),
+            ("rate", SMALL_RATE, "problem.v_pattern=1",
+             "/problem/v_pattern"),
+            ("effdim", SMALL_EFFDIM, "lambda_hi=true", "/lambda_hi"),
+            ("effdim", SMALL_EFFDIM, 'spectrum=[1.0, "0.5"]', "/spectrum"),
+            ("bounds", SMALL_BOUNDS, "etas=[false]", "/etas"),
+            # problem parameters are checked before any trial runs
+            ("rate", SMALL_RATE, "problem.a_link=0.7", "/problem"),
+            ("rate", SMALL_RATE, "problem.v_pattern=bogus", "/problem")]:
         cfg = _write(tmp_path, "cfg.json", doc)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out),
@@ -152,13 +176,13 @@ def test_rate_end_to_end(tmp_path, capsys):
     assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "rate: fitted exponent" in printed and "PASS" in printed
-    report = read_json(out / "rate_report.json")
+    report = json.loads((out / "rate_report.json").read_text())
     assert report["pass"] is True
     assert len(report["per_m"]) == 6
-    csv_doc = read_rate_csv(out / "rate_report.csv")
-    assert csv_doc["fitted_exponent"] == report["fitted_exponent"]
+    csv_lines = (out / "rate_report.csv").read_text().splitlines()
+    assert f"# fitted_exponent,{report['fitted_exponent']!r}" in csv_lines
     assert (out / "rate.svg").read_text().startswith("<svg")
-    man = read_json(out / "manifest.json")
+    man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 5 and "config_sha256" in man
 
 
@@ -184,7 +208,7 @@ def test_set_override_changes_seed(tmp_path):
     out = tmp_path / "out"
     assert main(["rate", "--config", cfg, "--out", str(out),
                  "--set", "seed=9", "--set", "trials_per_m=12"]) == 0
-    man = read_json(out / "manifest.json")
+    man = json.loads((out / "manifest.json").read_text())
     assert man["seed"] == 9
 
 
@@ -214,7 +238,8 @@ def test_config_seed_reaches_the_manifest(tmp_path, command, doc):
         out = tmp_path / f"out{want}"
         assert main([command, "--config", cfg, "--out", str(out)]
                     + extra) == 0
-        assert read_json(out / "manifest.json")["seed"] == want
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["seed"] == want
 
 
 def test_bounds_command(tmp_path, capsys):
@@ -222,7 +247,7 @@ def test_bounds_command(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     assert "bounds: 2/2 coverage reports passed" in capsys.readouterr().out
-    rows = read_json(out / "bounds.json")
+    rows = json.loads((out / "bounds.json").read_text())
     assert {r["quantity"] for r in rows} == {"PSI", "TX_DEV"}
     assert all(r["passed"] for r in rows)
 
@@ -241,12 +266,35 @@ def test_distance_command(tmp_path, capsys):
     assert lines[0] == "R,d_value" and len(lines) == 6
 
 
+def test_distance_on_inline_problem(tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {"problem": INLINE_PROBLEM,
+                                        "R_values": [0.5, 2.0]})
+    out = tmp_path / "out"
+    assert main(["distance", "--config", cfg, "--out", str(out)]) == 0
+    assert "distance: 2 points" in capsys.readouterr().out
+    header, near, far = (out / "distance.csv").read_text().splitlines()
+    assert header == "R,d_value" and far == "2.0,0.0"
+    R, d_value = near.split(",")
+    assert R == "0.5" and float(d_value) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_inline_problem_with_other_basis_is_config_error(tmp_path, capsys):
+    doc = {"problem": dict(INLINE_PROBLEM, basis="legendre"),
+           "R_values": [0.5]}
+    out = tmp_path / "out"
+    assert main(["distance", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert "config error at /problem:" in err and "legendre" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_filters_check_needs_no_config(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["filters-check", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert printed.count("filters-check:") >= 6
-    doc = read_json(out / "filters_check.json")
+    doc = json.loads((out / "filters_check.json").read_text())
     assert {c["filter"] for c in doc["constants"]} == {
         "tikhonov", "cutoff", "landweber"}
     assert all(c["pass"] for c in doc["constants"])
@@ -261,7 +309,7 @@ def test_decompose_command(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", doc)
     out = tmp_path / "out"
     assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
-    payload = read_json(out / "decompose.json")
+    payload = json.loads((out / "decompose.json").read_text())
     assert len(payload["eigenvalues"]) >= 6
     assert "note" in payload or "k2_note" in payload
     assert "decompose:" in capsys.readouterr().out
@@ -305,5 +353,5 @@ def test_rate_run_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          cwd=tmp_path, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "[]"
-    doc = read_json(tmp_path / "out" / "manifest.json")
+    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert doc["versions"]["scipy"] == pytest.importorskip("scipy").__version__

@@ -36,7 +36,7 @@ def _problem(d=16, sigma=0.05):
 
 
 def _scalar_problem(t_val=1.0):
-    return SpectralProblem(d=1, basis="cosine", a=np.array([np.sqrt(t_val)]),
+    return SpectralProblem(d=1, a=np.array([np.sqrt(t_val)]),
                            l=np.array([1.0]), f_true=np.array([1.0]),
                            noise=gaussian_noise(0.0))
 
@@ -61,7 +61,7 @@ def test_midpoint_design_zeroes_the_deviations():
 def test_psi_single_mode_value():
     prob = _scalar_problem()
     m, lam, seed = 32, 0.5, 11
-    noisy = SpectralProblem(d=1, basis="cosine", a=prob.a, l=prob.l,
+    noisy = SpectralProblem(d=1, a=prob.a, l=prob.l,
                             f_true=prob.f_true, noise=gaussian_noise(0.3))
     ds = sample_dataset(noisy, m, seed=seed)
     eps = ds.y - 1.0  # g(x) = 1 for the constant mode
@@ -224,7 +224,7 @@ def test_bound_check_report_pass_logic():
 
 
 def test_interpolation_hand_example():
-    prob = SpectralProblem(d=2, basis="cosine", a=np.ones(2),
+    prob = SpectralProblem(d=2, a=np.ones(2),
                            l=np.array([1.0, 2.0]), f_true=np.zeros(2),
                            noise=gaussian_noise(0.0))
     rec = check_interpolation(prob, np.array([1.0, 1.0]), 0.0, 1.0, 2.0)
@@ -234,7 +234,7 @@ def test_interpolation_hand_example():
 
 
 def test_interpolation_exact_on_single_mode():
-    prob = SpectralProblem(d=1, basis="cosine", a=np.ones(1),
+    prob = SpectralProblem(d=1, a=np.ones(1),
                            l=np.array([3.0]), f_true=np.zeros(1),
                            noise=gaussian_noise(0.0))
     rec = check_interpolation(prob, np.array([2.0]), -1.0, 0.5, 2.0)
@@ -252,7 +252,7 @@ def test_interpolation_random_sweep():
     rng = np.random.default_rng(123)
     for _ in range(200):
         d = int(rng.integers(1, 16))
-        prob = SpectralProblem(d=d, basis="cosine", a=np.ones(d),
+        prob = SpectralProblem(d=d, a=np.ones(d),
                                l=np.sort(rng.random(d) * 4.0 + 0.25),
                                f_true=np.zeros(d),
                                noise=gaussian_noise(0.0))

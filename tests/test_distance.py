@@ -18,8 +18,7 @@ from scalereg import (
 
 def _toy(l, f):
     l = np.asarray(l, dtype=np.float64)
-    return SpectralProblem(d=l.size, basis="cosine",
-                           a=np.ones(l.size), l=l,
+    return SpectralProblem(d=l.size, a=np.ones(l.size), l=l,
                            f_true=np.asarray(f, dtype=np.float64),
                            noise=gaussian_noise(0.0))
 

@@ -34,10 +34,8 @@ def test_effdim_monotone_decreasing_in_lambda(lam, factor):
 
 def test_effdim_curve_shape():
     t = np.arange(1, 201, dtype=np.float64) ** -2.0
-    curve = effdim_curve(t, 1e-4, 1e-1, points_per_decade=10,
-                         spectrum_id="square-summable")
+    curve = effdim_curve(t, 1e-4, 1e-1, points_per_decade=10)
     assert curve.lambdas.size == 31
-    assert curve.spectrum_id == "square-summable"
     assert np.all(np.diff(curve.values) < 0)
     with pytest.raises(ValueError):
         effdim_curve(t, 1e-1, 1e-4)

@@ -190,7 +190,7 @@ def test_cells_report_median_cg_steps(tmp_path, monkeypatch):
     # m = 32 < d takes the SVD route (no CG); the other cells solve the
     # primal system by PCG, or by LU once the step cap is cut to one
     import scalereg.sampling as sampling
-    from scalereg.reporting import read_rate_csv, write_rate_csv
+    from scalereg.reporting import write_rate_csv
     cfg = _small_config(
         problem=PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0,
                                  sigma=0.05, d_override=128),
@@ -203,5 +203,5 @@ def test_cells_report_median_cg_steps(tmp_path, monkeypatch):
                                                       math.inf]
     path = tmp_path / "rate.csv"
     write_rate_csv(path, rep)
-    assert [row["cg_steps"] for row in read_rate_csv(path)["per_m"]] == [
-        0.0, math.inf, math.inf]
+    rows = path.read_text().splitlines()[1:4]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["0.0", "inf", "inf"]

@@ -122,7 +122,7 @@ def test_rule_names_and_resolve():
 
 def test_rules_needing_smoothness_reject_bare_problems():
     from scalereg import SpectralProblem, gaussian_noise
-    bare = SpectralProblem(d=3, basis="cosine", a=np.ones(3),
+    bare = SpectralProblem(d=3, a=np.ones(3),
                            l=np.arange(1.0, 4.0), f_true=np.zeros(3),
                            noise=gaussian_noise(0.0))
     with pytest.raises(ValueError):

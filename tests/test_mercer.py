@@ -6,7 +6,6 @@ from scalereg import (
     kernel_k2,
     mercer_decompose,
     midpoint_grid,
-    problem_from_mercer,
 )
 
 
@@ -59,14 +58,6 @@ def test_indefinite_kernel_rejected():
 
     with pytest.raises(ValueError):
         mercer_decompose(indefinite, 64)
-
-
-def test_problem_from_mercer_drops_zero_modes():
-    w, _ = mercer_decompose("k1", 64)
-    prob = problem_from_mercer(w, sigma=0.1)
-    assert prob.d == np.count_nonzero(w)
-    np.testing.assert_allclose(prob.t, w[w > 0], rtol=1e-12)
-    np.testing.assert_array_equal(prob.l, np.ones(prob.d))
 
 
 def test_k2_note_mentions_the_variable_convention():

@@ -8,8 +8,6 @@ from scalereg import (
     forward_eval,
     gaussian_noise,
     hilbert_scale_norm,
-    problem_from_dict,
-    problem_to_dict,
 )
 from scalereg.model import _clenshaw_cosine
 
@@ -138,17 +136,3 @@ def test_noise_model_constants():
 def test_smoothness_spec_b_is_link_over_scale():
     spec = SmoothnessSpec(r=2.0, a_link=0.25, q=4.0, R_dagger=1.0, s=0.5)
     assert spec.b == pytest.approx(0.5)
-
-
-def test_problem_dict_round_trip():
-    prob = build_power_problem(s=0.5, a_link=0.25, r=2.0, q=4.0,
-                               R_dagger=1.5, d=8, sigma=0.05,
-                               v_pattern="seeded", seed=9)
-    doc = problem_to_dict(prob)
-    assert doc["noise"]["Sigma"] == prob.noise.Sigma_const
-    back = problem_from_dict(doc)
-    np.testing.assert_array_equal(back.a, prob.a)
-    np.testing.assert_array_equal(back.l, prob.l)
-    np.testing.assert_array_equal(back.f_true, prob.f_true)
-    assert back.smoothness == prob.smoothness
-    assert back.noise == prob.noise

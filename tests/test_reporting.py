@@ -5,17 +5,13 @@ import pytest
 
 from scalereg import BoundCheckReport
 from scalereg.reporting import (
+    DISTANCE_HEADER,
+    EFFDIM_HEADER,
     canonical_json,
     manifest,
-    read_bounds_csv,
-    read_distance_csv,
-    read_effdim_csv,
-    read_json,
-    read_rate_csv,
     sha256_of,
     write_bounds_csv,
-    write_distance_csv,
-    write_effdim_csv,
+    write_curve_csv,
     write_json,
     write_manifest,
     write_rate_csv,
@@ -43,27 +39,27 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "doc.json"
     doc = {"name": "run", "values": [0.1, 0.2, float("nan")]}
     write_json(path, doc)
-    assert read_json(path) == {"name": "run", "values": [0.1, 0.2, None]}
+    assert path.read_bytes() == b'{"name":"run","values":[0.1,0.2,null]}\n'
 
 
 def test_effdim_csv_bytes_round_trip(tmp_path):
+    # numpy floats are written as the repr() of the Python float, which
+    # float() reads back exactly
     lams = np.geomspace(1e-5, 1e-2, 7)
     vals = 1.0 / np.sqrt(lams) * (np.pi / 2.0)
     path = tmp_path / "effdim.csv"
-    write_effdim_csv(path, lams, vals)
-    got_l, got_v = read_effdim_csv(path)
-    assert got_l == list(lams) and got_v == list(vals)  # exact, via repr
-    assert path.read_text().splitlines()[0] == "lambda,n_effective"
+    write_curve_csv(path, EFFDIM_HEADER, lams, vals)
+    rows = "".join(f"{lam!r},{val!r}\n"
+                   for lam, val in zip(lams.tolist(), vals.tolist()))
+    assert path.read_text() == "lambda,n_effective\n" + rows
 
 
 def test_distance_csv_round_trip(tmp_path):
     path = tmp_path / "distance.csv"
-    Rs = [0.25, 0.5, 1.0]
-    ds = [0.126261, 0.111773, 0.095128]
-    write_distance_csv(path, Rs, ds)
-    got_R, got_d = read_distance_csv(path)
-    assert got_R == Rs and got_d == ds
-    assert path.read_text().splitlines()[0] == "R,d_value"
+    write_curve_csv(path, DISTANCE_HEADER, [0.25, 0.5, 1],
+                    [0.126261, 0.111773, 0.095128])
+    assert path.read_bytes() == (b"R,d_value\n0.25,0.126261\n"
+                                 b"0.5,0.111773\n1.0,0.095128\n")
 
 
 def test_bounds_csv_round_trip(tmp_path):
@@ -77,18 +73,17 @@ def test_bounds_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "bounds.csv"
     write_bounds_csv(path, reports)
-    rows = read_bounds_csv(path)
-    assert rows[0]["quantity"] == "PSI" and rows[0]["m"] == 1024
-    assert rows[1]["eta"] == 0.1 and rows[1]["coverage"] == 0.998
-    header = path.read_text().splitlines()[0]
-    assert header == "quantity,lambda,m,eta,trials,quantile,bound,coverage"
+    assert path.read_bytes() == (
+        b"quantity,lambda,m,eta,trials,quantile,bound,coverage\n"
+        b"PSI,0.01,1024,0.05,500,0.007,0.046,1.0\n"
+        b"TX_DEV,0.02,4096,0.1,500,0.061,0.537,0.998\n")
 
 
 def test_rate_csv_round_trip(tmp_path):
     report = {
         "per_m": [
             {"m": 256, "lambda_used": 0.0625, "mean_error": 0.0169,
-             "median_error": 0.0165, "std_error": 0.0023},
+             "median_error": 0.0165, "std_error": 0.0023, "cg_steps": 7},
             {"m": 512, "lambda_used": 0.0442, "mean_error": 0.0117,
              "median_error": 0.0118, "std_error": 0.0014},
         ],
@@ -98,16 +93,17 @@ def test_rate_csv_round_trip(tmp_path):
     }
     path = tmp_path / "rate.csv"
     write_rate_csv(path, report)
-    back = read_rate_csv(path)
-    assert back["per_m"][0]["m"] == 256
-    assert back["per_m"][1]["median_error"] == 0.0118
-    assert back["fitted_exponent"] == -0.18
-    assert back["pass"] is True and back["degenerate"] is False
-    assert back["config_hash"] == "ab" * 32
-    # footer lines are '# key,value'
-    footer = [ln for ln in path.read_text().splitlines()
-              if ln.startswith("# ")]
-    assert any(ln.startswith("# fitted_exponent,") for ln in footer)
+    # a row without cg_steps reads nan; the footer lines are '# key,value'
+    assert path.read_text() == (
+        "m,lambda,mean,median,std,cg_steps\n"
+        "256,0.0625,0.0169,0.0165,0.0023,7.0\n"
+        "512,0.0442,0.0117,0.0118,0.0014,nan\n"
+        "# fitted_exponent,-0.18\n"
+        "# fit_stderr,0.02\n"
+        "# theoretical_exponent,-0.25\n"
+        "# pass,true\n"
+        "# degenerate,false\n"
+        f"# config_hash,{'ab' * 32}\n")
 
 
 def test_manifest_contents(tmp_path):

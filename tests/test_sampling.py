@@ -52,8 +52,7 @@ def test_midpoint_design_and_validation():
     with pytest.raises(ValueError):
         sample_dataset(prob, 0, seed=0)
     with pytest.raises(ValueError):
-        Dataset(x=np.array([0.5]), y=np.array([1.0, 2.0]), seed=0,
-                design="random_uniform")
+        Dataset(x=np.array([0.5]), y=np.array([1.0, 2.0]))
 
 
 def test_design_matrix_row_oracle():
@@ -129,7 +128,7 @@ def test_crossprod_and_gram_match_dense_products():
 def _moment_problem(d):
     if d == 1:
         from scalereg import SpectralProblem, gaussian_noise
-        return SpectralProblem(d=1, basis="cosine", a=np.array([0.7]),
+        return SpectralProblem(d=1, a=np.array([0.7]),
                                l=np.array([1.3]), f_true=np.array([1.0]),
                                noise=gaussian_noise(0.0))
     return _problem(d=d, sigma=0.0)
@@ -267,7 +266,7 @@ def test_midpoint_quadrature_diagonalizes_covariance():
 
 def test_scalar_estimator_oracle():
     from scalereg import SpectralProblem, gaussian_noise
-    prob = SpectralProblem(d=1, basis="cosine", a=np.array([1.0]),
+    prob = SpectralProblem(d=1, a=np.array([1.0]),
                            l=np.array([1.0]), f_true=np.array([1.0]),
                            noise=gaussian_noise(0.0))
     # single constant mode: y = 1, T_x = 1, tikhonov at lambda = 1
