@@ -21,12 +21,12 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       landweber_iterations, make_filter, residual_values)
 from .harness import (ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
                       RateReport, config_hash, run_rate_experiment,
-                      theoretical_exponent, truncation_dim)
+                      truncation_dim)
 from .indexfn import (IDENTITY, IndexFunction, check_index_function,
                       check_sublinear, power_fn)
 from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
                            lambda_balance_general, lambda_phi_inverse,
-                           lambda_power_table)
+                           lambda_power_table, theoretical_exponent)
 from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
                      midpoint_grid)
 from .model import (CASES, NoiseModel, SmoothnessSpec, SpectralProblem,

@@ -155,7 +155,7 @@ def _lambda_rule_from(doc, ptr) -> LambdaRule:
             raise ConfigError(f"{ptr}/params/value",
                               f"fixed lambda must be in (0, 1], got {value!r}")
     elif kind == "power_table":
-        _get(params, "case", f"{ptr}/params", cast=str, default="regular",
+        _get(params, "case", f"{ptr}/params", cast=str, default=None,
              choices=CASES)
     return LambdaRule(kind, params)
 
@@ -170,19 +170,22 @@ def _seed_from(doc, seed) -> int:
     return seed
 
 
+def _present(doc, ptr, **casts) -> dict:
+    """The fields of ``doc`` named in ``casts`` that it holds, each read
+    strictly; a missing one is left out and takes the dataclass default."""
+    return {key: _get(doc, key, ptr, cast=cast)
+            for key, cast in casts.items() if key in doc}
+
+
 def _power_spec_from(doc, ptr) -> PowerProblemSpec:
-    spec = dict(
-        s=_get(doc, "s", ptr, cast=float),
-        a_link=_get(doc, "a_link", ptr, cast=float),
-        r=_get(doc, "r", ptr, cast=float),
-        q=_get(doc, "q", ptr, cast=float),
-        R_dagger=_get(doc, "R_dagger", ptr, cast=float, default=1.0),
-        sigma=_get(doc, "sigma", ptr, cast=float, default=0.05),
-        v_pattern=_get(doc, "v_pattern", ptr, cast=str, default="constant"),
-    )
-    d = _get(doc, "d", ptr, cast=int, default=None)
+    spec = {key: _get(doc, key, ptr, cast=float)
+            for key in ("s", "a_link", "r", "q")}
+    spec.update(_present(doc, ptr, R_dagger=float, sigma=float,
+                         v_pattern=str))
+    if "d" in doc:
+        spec["d_override"] = _get(doc, "d", ptr, cast=int)
     try:
-        return PowerProblemSpec(d_override=d, **spec)
+        return PowerProblemSpec(**spec)
     except ValueError as exc:
         raise ConfigError(ptr, str(exc))
 
@@ -208,29 +211,22 @@ def _concrete_problem(doc, ptr, seed: int):
 
 def _experiment_from_doc(doc, seed: int) -> ExperimentConfig:
     prob = _power_spec_from(_get(doc, "problem", ""), "/problem")
-    rule = _lambda_rule_from(
-        _get(doc, "lambda_rule", "", default={"kind": "power_table"}),
-        "/lambda_rule")
     m_grid = _get(doc, "m_grid", "")
     try:
         m_grid = tuple(_strict_int(m) for m in m_grid)
     except (TypeError, ValueError):
         raise ConfigError("/m_grid", "must be a list of integers")
-    kwargs = dict(
-        problem=prob,
-        filter_id=_get(doc, "filter", "", cast=str, default="tikhonov",
-                       choices=FILTER_NAMES),
-        lambda_rule=rule,
-        m_grid=m_grid,
-        trials_per_m=_get(doc, "trials_per_m", "", cast=int, default=50),
-        seed=seed,
-        error_norm=_get(doc, "error_norm", "", cast=str, default="h"),
-        case=_get(doc, "case", "", cast=str, default="regular"),
-        tolerance=_get(doc, "tolerance", "", cast=float, default=0.08),
-        zeta=_get(doc, "zeta", "", default=None),
-    )
+    kwargs = _present(doc, "", trials_per_m=int, error_norm=str, case=str,
+                      tolerance=float, zeta=None)
+    if "filter" in doc:
+        kwargs["filter_id"] = _get(doc, "filter", "", cast=str,
+                                   choices=FILTER_NAMES)
+    if "lambda_rule" in doc:
+        kwargs["lambda_rule"] = _lambda_rule_from(doc["lambda_rule"],
+                                                  "/lambda_rule")
     try:
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(problem=prob, m_grid=m_grid, seed=seed,
+                                **kwargs)
     except ValueError as exc:
         msg = str(exc)
         for key in ("m_grid", "trials_per_m", "error_norm", "case", "zeta"):

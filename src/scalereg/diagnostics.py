@@ -33,7 +33,8 @@ from .filters import FilterFamily, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
 from .sampling import (Dataset, _clamped_eigh, _design_weights,
-                       _stream, crossprod, design_matrix, empirical_cov)
+                       _stream, _trial_seeds, crossprod, design_matrix,
+                       empirical_cov)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
 
@@ -282,8 +283,7 @@ def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
         zeta_fns["XI_ZETA"] = _check_zeta(
             zeta if zeta is not None else power_fn(0.5), tm)
 
-    tseeds = np.random.SeedSequence([seed, m]).generate_state(
-        trials, dtype=np.uint64)
+    tseeds = _trial_seeds(seed, m, trials)
     tags = frozenset(quantities)
 
     rows = [_trial_values(problem, m, lam, int(seed_k), tags, zeta_fns)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CASES, SmoothnessSpec, SpectralProblem
+from .lambda_rules import benchmark_order
+from .model import SmoothnessSpec, SpectralProblem
 
 _ROOT_TOL = 1e-12
 _MAX_BISECT = 200
@@ -133,13 +134,9 @@ def distance_bound(theta_r: float, R_dagger: float, R: float) -> float:
 
 
 def r_of_lambda(spec: SmoothnessSpec, lam: float, case: str) -> float:
-    """Balancing radius R(lambda) for the two smoothness regimes."""
+    """Balancing radius R(lambda) = R_dagger lambda^(a (r - q_c)), q_c
+    the benchmark order of the case (``lambda_rules.benchmark_order``)."""
     if not 0 < lam <= 1:
         raise ValueError("lambda must be in (0, 1]")
-    if case == "oversmoothing":
-        return float(spec.R_dagger *
-                     lam ** (spec.a_link * (spec.r - 1.0)))
-    if case == "regular":
-        return float(spec.R_dagger *
-                     lam ** (spec.a_link * (spec.r - spec.q)))
-    raise ValueError(f"case must be one of {CASES}")
+    q_c = benchmark_order(case, spec.q)
+    return float(spec.R_dagger * lam ** (spec.a_link * (spec.r - q_c)))

@@ -12,17 +12,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .filters import check_covering, make_filter
-from .indexfn import IndexFunction, from_config, power_fn, to_config
-from .lambda_rules import LambdaRule, _rate_regime
+from .indexfn import from_config, power_fn, to_config
+from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
 from .model import (CASES, V_PATTERNS, SmoothnessSpec, SpectralProblem,
-                    build_power_problem)
-from .sampling import errors, estimate, sample_dataset
+                    _check_truncation, build_power_problem, gaussian_noise)
+from .sampling import _trial_seeds, errors, estimate, sample_dataset
 
 ERROR_NORMS = ("h", "prediction", "zeta")
 
@@ -45,25 +45,6 @@ def truncation_dim(m: int, s: float) -> int:
     return int(min(_D_CAP, max(_D_MIN, 4 * math.ceil(m ** (1.0 / (2.0 * s))))))
 
 
-def theoretical_exponent(a: float, b: float, r: float, q: float,
-                         case: str) -> float:
-    """Rate exponent of m (negative) for the power-type benchmark.
-
-    oversmoothing (r <= 1):  -a r / (b + 1)
-    regular, "regular_q":    -r / (2 (q - 1))
-    regular, "regular_r":    -a r / (2 a r + b + 1 - 2 a)
-
-    with the regimes of ``lambda_rules._rate_regime``, which also checks
-    the parameters.
-    """
-    regime = _rate_regime(a, b, r, q, case)
-    if regime == "oversmoothing":
-        return -a * r / (b + 1.0)
-    if regime == "regular_q":
-        return -r / (2.0 * (q - 1.0))
-    return -a * r / (2.0 * a * r + b + 1.0 - 2.0 * a)
-
-
 @dataclass(frozen=True)
 class PowerProblemSpec:
     """Parameters of the synthetic power-type problem family."""
@@ -80,11 +61,15 @@ class PowerProblemSpec:
     def __post_init__(self):
         SmoothnessSpec(r=self.r, a_link=self.a_link, q=self.q,
                        R_dagger=self.R_dagger, s=self.s)
+        gaussian_noise(self.sigma)
+        if self.d_override is not None:
+            _check_truncation(self.d_override)
         if self.v_pattern not in V_PATTERNS:
             raise ValueError(f"v_pattern must be one of {V_PATTERNS}")
 
     def build(self, m: int, seed: int) -> SpectralProblem:
-        d = self.d_override or truncation_dim(m, self.s)
+        d = (truncation_dim(m, self.s) if self.d_override is None
+             else self.d_override)
         return build_power_problem(self.s, self.a_link, self.r, self.q,
                                    self.R_dagger, d, self.sigma,
                                    v_pattern=self.v_pattern, seed=seed)
@@ -100,10 +85,12 @@ class PowerProblemSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One rate experiment.  A ``power_table`` rule that is missing or
+    has no ``params.case`` takes ``case``; a different one is refused."""
+
     problem: PowerProblemSpec
     filter_id: str = "tikhonov"
-    lambda_rule: LambdaRule = field(
-        default_factory=lambda: LambdaRule("power_table", {"case": "regular"}))
+    lambda_rule: Optional[LambdaRule] = None
     m_grid: tuple = (256, 512, 1024, 2048, 4096, 8192, 16384)
     trials_per_m: int = 50
     seed: int = 0
@@ -125,6 +112,14 @@ class ExperimentConfig:
             raise ValueError(f"error_norm must be one of {ERROR_NORMS}")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
+        rule = self.lambda_rule or LambdaRule("power_table")
+        if rule.kind == "power_table":
+            own = rule.params.get("case", self.case)
+            if own != self.case:
+                raise ValueError(f"lambda_rule params.case {own!r} differs "
+                                 f"from case {self.case!r}")
+            rule = LambdaRule(rule.kind, dict(rule.params, case=self.case))
+        object.__setattr__(self, "lambda_rule", rule)
         if self.error_norm == "zeta" and self.zeta is None:
             raise ValueError("error_norm 'zeta' needs a zeta spec")
 
@@ -185,13 +180,6 @@ def _wls_line(xs, ys, weights):
     return float(beta[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
 
 
-def _covering_target(config: ExperimentConfig) -> IndexFunction:
-    sm = config.problem
-    if config.case == "oversmoothing":
-        return power_fn(sm.a_link)
-    return power_fn(sm.a_link * sm.q)
-
-
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """Execute the configured rate experiment; deterministic under seed.
 
@@ -208,12 +196,13 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """
     filt = make_filter(config.filter_id)
     p = filt.qualification_p
-    if not check_covering(min(p, 64.0), _covering_target(config)):
+    sm = config.problem
+    target = power_fn(sm.a_link * benchmark_order(config.case, sm.q))
+    if not check_covering(min(p, 64.0), target):
         raise ValueError(
             f"filter {config.filter_id!r} (qualification {p:g}) does not "
             f"cover the {config.case} index function; config refused")
     zeta = from_config(config.zeta) if config.zeta is not None else None
-    sm = config.problem
     theo = theoretical_exponent(sm.a_link, sm.a_link / sm.s, sm.r, sm.q,
                                 config.case)
 
@@ -224,8 +213,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     for m in config.m_grid:
         problem = sm.build(m, config.seed)
         lam = config.lambda_rule.resolve(problem, m)
-        tseeds = np.random.SeedSequence([config.seed, m]).generate_state(
-            config.trials_per_m, dtype=np.uint64)
+        tseeds = _trial_seeds(config.seed, m, config.trials_per_m)
         cells.append((m, problem, lam, tseeds))
 
     def one(problem: SpectralProblem, m: int, lam: float, k: int,
@@ -245,35 +233,25 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
                 for k, tseed in enumerate(tseeds)]
                for m, problem, lam, tseeds in cells]
 
-    per_m, log_meds, weights = [], [], []
-    degenerate = False
-    n = config.trials_per_m
-    for (m, _, lam, _), cell in zip(cells, results):
-        vals = np.array([val for val, _ in cell])
-        med = float(np.median(vals))
-        per_m.append({"m": int(m), "lambda_used": float(lam),
-                      "mean_error": float(np.mean(vals)),
-                      "median_error": med,
-                      "std_error": float(np.std(vals, ddof=1)),
-                      "cg_steps": float(np.median([k for _, k in cell]))})
-        if med < _DEGENERATE_FLOOR:
-            degenerate = True
-            continue
-        log_meds.append(math.log(med))
-        var = float(np.var(np.log(np.maximum(vals, _DEGENERATE_FLOOR)),
-                           ddof=1))
-        weights.append(n / max(var, 1e-12))
-
-    if degenerate or len(log_meds) < 2:
-        return RateReport(per_m=tuple(per_m), fitted_exponent=float("nan"),
-                          fit_stderr=float("nan"),
-                          theoretical_exponent=theo, passed=False,
-                          config_hash=config_hash(config), degenerate=True)
-
-    kept_ms = [row["m"] for row in per_m
-               if row["median_error"] >= _DEGENERATE_FLOOR]
-    slope, stderr = _wls_line(np.log(kept_ms), log_meds, weights)
-    passed = abs(slope - theo) <= config.tolerance
-    return RateReport(per_m=tuple(per_m), fitted_exponent=slope,
-                      fit_stderr=stderr, theoretical_exponent=theo,
-                      passed=passed, config_hash=config_hash(config))
+    vals = [np.array([val for val, _ in cell]) for cell in results]
+    meds = [float(np.median(v)) for v in vals]
+    per_m = tuple({"m": m, "lambda_used": float(lam),
+                   "mean_error": float(np.mean(v)), "median_error": med,
+                   "std_error": float(np.std(v, ddof=1)),
+                   "cg_steps": float(np.median([k for _, k in cell]))}
+                  for (m, _, lam, _), cell, v, med
+                  in zip(cells, results, vals, meds))
+    degenerate = min(meds) < _DEGENERATE_FLOOR
+    if degenerate:
+        slope = stderr = float("nan")
+    else:
+        n = config.trials_per_m
+        log_vars = [float(np.var(np.log(np.maximum(v, _DEGENERATE_FLOOR)),
+                                 ddof=1)) for v in vals]
+        weights = [n / max(var, 1e-12) for var in log_vars]
+        slope, stderr = _wls_line(np.log(config.m_grid),
+                                  [math.log(med) for med in meds], weights)
+    passed = not degenerate and abs(slope - theo) <= config.tolerance
+    return RateReport(per_m=per_m, fitted_exponent=slope, fit_stderr=stderr,
+                      theoretical_exponent=theo, passed=passed,
+                      config_hash=config_hash(config), degenerate=degenerate)

@@ -10,6 +10,9 @@ Four rules are provided, all returning lambda in (0, 1]:
                     * m = N(lambda) for power-type theta, rho.
 - power_table:      the closed-form power laws per smoothness regime.
 
+The regime of a case is decided here alone, by ``_rate_law`` and
+``benchmark_order``.
+
 ``fixed`` is an extra config-level kind for diagnostic runs with a
 pinned value; it is not one of the analysis rules.
 """
@@ -22,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .effdim import effdim
-from .model import SmoothnessSpec, SpectralProblem
+from .model import CASES, SmoothnessSpec, SpectralProblem
 
 LAMBDA_FLOOR = 1e-14
 
@@ -62,16 +65,20 @@ def lambda_balance_effdim(spectrum, m: int) -> float:
     return lam
 
 
+def _power_law(m: int, e: float) -> float:
+    """lambda = m^e, clamped to [LAMBDA_FLOOR, 1]."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return min(max(float(m) ** e, LAMBDA_FLOOR), 1.0)
+
+
 def lambda_phi_inverse(a_link: float, q: float, m: int) -> float:
     """Closed form lambda = m^(-1/(2 a (q-1)))."""
     if q <= 1:
         raise ValueError("phi_inverse needs q > 1")
     if not 0 < a_link <= 0.5:
         raise ValueError("a_link must be in (0, 1/2]")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lam = float(m) ** (-1.0 / (2.0 * a_link * (q - 1.0)))
-    return min(max(lam, LAMBDA_FLOOR), 1.0)
+    return _power_law(m, -1.0 / (2.0 * a_link * (q - 1.0)))
 
 
 def lambda_balance_general(spectrum, spec: SmoothnessSpec,
@@ -101,13 +108,24 @@ def lambda_balance_general(spectrum, spec: SmoothnessSpec,
     return _log_bisect(h, LAMBDA_FLOOR, 1.0)
 
 
-def _rate_regime(a: float, b: float, r: float, q: float, case: str) -> str:
-    """Check (a, b, r, q, case) and name the regime of the rate table.
+def benchmark_order(case: str, q: float) -> float:
+    """Order q_c of the benchmark smoothness class of a case: 1 in the
+    oversmoothing case, the problem's q in the regular case."""
+    if case == "oversmoothing":
+        return 1.0
+    if case == "regular":
+        return q
+    raise ValueError(f"case must be one of {CASES}")
 
-    "oversmoothing" for the oversmoothing case (0 < r <= 1).  In the
-    regular case (1 <= r <= q, q > 1), "regular_q" when
-    a q >= a r + (b+1)/2 (the benchmark exponent q sets the rate, also
-    chosen at the tie), else "regular_r".
+
+def _rate_law(a: float, b: float, r: float, q: float, case: str) -> float:
+    """Check (a, b, r, q, case) and return the exponent e of the rate
+    table's lambda(m) = m^e.
+
+    oversmoothing (0 < r <= 1):     e = -1/(b+1)
+    regular (1 <= r <= q, q > 1):   e = -1/(2a(q-1)) when
+        a q >= a r + (b+1)/2 (the benchmark exponent q sets the rate,
+        also chosen at the tie), else e = -1/(2 a r + b + 1 - 2a).
     """
     if not 0 < a <= 0.5:
         raise ValueError("a must be in (0, 1/2]")
@@ -119,36 +137,31 @@ def _rate_regime(a: float, b: float, r: float, q: float, case: str) -> str:
         if r > 1.0:
             raise ValueError("oversmoothing case requires r <= 1 "
                              "(benchmark exponent above the scale)")
-        return case
+        return -1.0 / (b + 1.0)
     if case == "regular":
         if not 1.0 <= r <= q:
             raise ValueError("regular case requires 1 <= r <= q")
         if q <= 1.0:
             raise ValueError("regular case requires q > 1")
         if a * q >= a * r + (b + 1.0) / 2.0:
-            return "regular_q"
-        return "regular_r"
+            return -1.0 / (2.0 * a * (q - 1.0))
+        return -1.0 / (2.0 * a * r + b + 1.0 - 2.0 * a)
     raise ValueError("case must be 'oversmoothing' or 'regular'")
 
 
 def lambda_power_table(a: float, b: float, r: float, q: float, m: int,
                        case: str) -> float:
-    """Closed-form lambda(m) of the rate table.
+    """Closed-form lambda(m) = m^e of the rate table, e from
+    ``_rate_law``."""
+    return _power_law(m, _rate_law(a, b, r, q, case))
 
-    oversmoothing (r <= 1):  lambda = m^(-1/(b+1))
-    regular (1 <= r <= q):   lambda = m^(-1/(2a(q-1))) in the regime
-        "regular_q" of ``_rate_regime``, else m^(-1/(2 a r + b + 1 - 2a)).
-    """
-    regime = _rate_regime(a, b, r, q, case)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if regime == "oversmoothing":
-        lam = float(m) ** (-1.0 / (b + 1.0))
-    elif regime == "regular_q":
-        lam = float(m) ** (-1.0 / (2.0 * a * (q - 1.0)))
-    else:
-        lam = float(m) ** (-1.0 / (2.0 * a * r + b + 1.0 - 2.0 * a))
-    return min(max(lam, LAMBDA_FLOOR), 1.0)
+
+def theoretical_exponent(a: float, b: float, r: float, q: float,
+                         case: str) -> float:
+    """Rate exponent of m (negative) for the power-type benchmark: the
+    error bound decays like lambda^(a r), on lambda(m) = m^e like
+    m^(a r e)."""
+    return a * r * _rate_law(a, b, r, q, case)
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,11 @@ class SpectralProblem:
         return float(e[0] + 2.0 * e[1:].sum())
 
 
+def _check_truncation(d: int) -> None:
+    if d < 2:
+        raise ValueError("d must be >= 2")
+
+
 def build_power_problem(s: float, a_link: float, r: float, q: float,
                         R_dagger: float, d: int, sigma: float,
                         v_pattern: str = "constant",
@@ -160,8 +165,7 @@ def build_power_problem(s: float, a_link: float, r: float, q: float,
     """
     spec = SmoothnessSpec(r=float(r), a_link=float(a_link), q=float(q),
                           R_dagger=float(R_dagger), s=float(s))
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_truncation(d)
     j = np.arange(1, d + 1, dtype=np.float64)
     l = j ** s
     a = j ** (s * (1.0 - 1.0 / (2.0 * a_link)))

@@ -136,6 +136,12 @@ def _stream(seed: int, which: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence([int(seed), which])))
 
 
+def _trial_seeds(seed: int, m: int, n: int) -> np.ndarray:
+    """The n Monte Carlo trial seeds of sample size m under seed."""
+    return np.random.SeedSequence([seed, m]).generate_state(
+        n, dtype=np.uint64)
+
+
 def sample_dataset(problem: SpectralProblem, m: int, seed: int,
                    design: str = "random_uniform") -> Dataset:
     """Draw a dataset of size m from the problem's observation model."""

@@ -126,7 +126,12 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("bounds", SMALL_BOUNDS, "etas=[false]", "/etas"),
             # problem parameters are checked before any trial runs
             ("rate", SMALL_RATE, "problem.a_link=0.7", "/problem"),
-            ("rate", SMALL_RATE, "problem.v_pattern=bogus", "/problem")]:
+            ("rate", SMALL_RATE, "problem.v_pattern=bogus", "/problem"),
+            ("rate", SMALL_RATE, "problem.d=0", "/problem"),
+            ("rate", SMALL_RATE, "problem.d=1", "/problem"),
+            ("rate", SMALL_RATE, "problem.sigma=-1", "/problem"),
+            # the power table's case is the config's case
+            ("rate", SMALL_RATE, "case=regular", "/case")]:
         cfg = _write(tmp_path, "cfg.json", doc)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out),
@@ -194,6 +199,25 @@ def test_rate_reruns_are_byte_identical(tmp_path):
     for name in ("rate_report.json", "rate_report.csv", "rate.svg",
                  "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_rate_without_lambda_rule_uses_the_table_of_its_case(tmp_path,
+                                                            capsys):
+    # a missing rule, or a power_table rule without params.case, is the
+    # table of the config's case: the same run, config hash included
+    outputs = []
+    for rule in (SMALL_RATE["lambda_rule"], None, {"kind": "power_table"}):
+        doc = {k: v for k, v in SMALL_RATE.items() if k != "lambda_rule"}
+        if rule is not None:
+            doc["lambda_rule"] = rule
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["rate", "--config", _write(tmp_path, "cfg.json", doc),
+                     "--out", str(out)]) == 0
+        outputs.append([capsys.readouterr().out] + [
+            (out / name).read_bytes()
+            for name in ("rate_report.json", "rate_report.csv", "rate.svg",
+                         "manifest.json")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_rate_failure_exit_code(tmp_path, capsys):

@@ -117,6 +117,27 @@ def test_problem_spec_build_and_dict():
     assert spec_d.build(10 ** 6, seed=0).d == 48
     assert spec_d.to_dict()["d_override"] == 48
     assert "d_override" not in spec.to_dict()
+    # d = 0 is no "no override": it is refused with d = 1 and sigma < 0,
+    # at construction, before any build
+    for kw in ({"d_override": 0}, {"d_override": 1}, {"sigma": -1.0}):
+        with pytest.raises(ValueError, match="d must|sigma"):
+            PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, **kw)
+
+
+def test_case_owns_the_power_table_rule():
+    written = _small_config()
+    table = LambdaRule("power_table", {"case": "oversmoothing"})
+    for rule in (None, LambdaRule("power_table")):
+        cfg = _small_config(lambda_rule=rule)
+        assert cfg.lambda_rule == table
+        assert config_hash(cfg) == config_hash(written)
+    regular = _small_config(lambda_rule=None, case="regular")
+    assert regular.lambda_rule.params == {"case": "regular"}
+    fixed = LambdaRule("fixed", {"value": 0.01})
+    assert _small_config(lambda_rule=fixed).lambda_rule == fixed
+    with pytest.raises(ValueError, match="differs"):
+        _small_config(lambda_rule=LambdaRule("power_table",
+                                             {"case": "regular"}))
 
 
 def test_small_experiment_is_deterministic_and_plausible():

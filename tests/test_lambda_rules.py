@@ -12,6 +12,7 @@ from scalereg import (
     lambda_balance_general,
     lambda_phi_inverse,
     lambda_power_table,
+    theoretical_exponent,
 )
 from scalereg.lambda_rules import LAMBDA_FLOOR
 from scalereg.model import SmoothnessSpec
@@ -95,6 +96,26 @@ def test_power_table_validations():
         lambda_power_table(0.5, 0.5, 1.5, 1.0, 100, "regular")
     with pytest.raises(ValueError, match="case"):
         lambda_power_table(0.5, 0.5, 0.5, 1.0, 100, "both")
+
+
+@given(st.floats(min_value=1e-3, max_value=0.5),
+       st.floats(min_value=0.0, max_value=5.0),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.floats(min_value=1.01, max_value=10.0))
+@settings(max_examples=200, deadline=None)
+def test_theoretical_exponent_closed_forms(a, b, u, q):
+    # a r e, e the exponent of the lambda table, against the closed form
+    # of each regime; u places r inside the case's range
+    r = max(u, 1e-3)
+    assert theoretical_exponent(a, b, r, q, "oversmoothing") == pytest.approx(
+        -a * r / (b + 1.0), rel=1e-12)
+    r = min(1.0 + u * (q - 1.0), q)
+    if a * q >= a * r + (b + 1.0) / 2.0:
+        want = -r / (2.0 * (q - 1.0))
+    else:
+        want = -a * r / (2.0 * a * r + b + 1.0 - 2.0 * a)
+    assert theoretical_exponent(a, b, r, q, "regular") == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_lambda_floor_applies():
