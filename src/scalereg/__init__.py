@@ -17,13 +17,13 @@ from .effdim import (EffDimCurve, check_effdim_relation, check_tail_condition,
 from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       check_covering, check_prop_regularization,
                       check_qualification, check_regularization_constants,
-                      default_lambda_grid, default_t_grid, filter_values,
-                      landweber_iterations, make_filter, residual_values)
+                      filter_values, landweber_iterations, make_filter,
+                      residual_values)
 from .harness import (ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
                       RateReport, config_hash, run_rate_experiment,
                       truncation_dim)
-from .indexfn import (IDENTITY, IndexFunction, check_index_function,
-                      check_sublinear, power_fn)
+from .indexfn import (IndexFunction, check_index_function, check_sublinear,
+                      power_fn)
 from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
                            lambda_balance_general, lambda_phi_inverse,
                            lambda_power_table, theoretical_exponent)

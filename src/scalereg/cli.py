@@ -190,6 +190,16 @@ def _power_spec_from(doc, ptr) -> PowerProblemSpec:
         raise ConfigError(ptr, str(exc))
 
 
+def _zeta_from(doc):
+    """The config's ``zeta`` as an IndexFunction, or None if absent."""
+    if doc.get("zeta") is None:
+        return None
+    try:
+        return indexfn_from_config(doc["zeta"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("/zeta", str(exc))
+
+
 def _concrete_problem(doc, ptr, seed: int):
     """An explicit SpectralProblem (inline arrays or a power spec + d)."""
     if not isinstance(doc, dict):
@@ -216,6 +226,7 @@ def _experiment_from_doc(doc, seed: int) -> ExperimentConfig:
         m_grid = tuple(_strict_int(m) for m in m_grid)
     except (TypeError, ValueError):
         raise ConfigError("/m_grid", "must be a list of integers")
+    _zeta_from(doc)  # checked here; the config keeps the mapping
     kwargs = _present(doc, "", trials_per_m=int, error_norm=str, case=str,
                       tolerance=float, zeta=None)
     if "filter" in doc:
@@ -326,9 +337,11 @@ def _cmd_bounds(doc, out: Path, seed: int) -> int:
     rule = _lambda_rule_from(
         _get(doc, "lambda_rule", "", default={"kind": "balance_effdim"}),
         "/lambda_rule")
+    if rule.kind == "power_table":
+        # bounds has no case of its own for the table to take
+        _get(rule.params, "case", "/lambda_rule/params")
     s_exp = _get(doc, "s_exponent", "", cast=float, default=0.5)
-    zeta_doc = _get(doc, "zeta", "", default=None)
-    zeta = indexfn_from_config(zeta_doc) if zeta_doc is not None else None
+    zeta = _zeta_from(doc)
 
     reports = []
     for m in m_values:

@@ -37,7 +37,6 @@ class DistanceResult:
 class DistanceCurve:
     Rs: np.ndarray
     values: np.ndarray
-    kind: str  # "d" or "d_q"
 
 
 def _solve_mu(vnorm, R: float) -> float:
@@ -109,10 +108,10 @@ def distance_curve(problem: SpectralProblem, Rs,
     Rs = np.asarray(Rs, dtype=np.float64)
     if q is None:
         vals = np.array([distance_fn(problem, float(R)).d_value for R in Rs])
-        return DistanceCurve(Rs, vals, "d")
+        return DistanceCurve(Rs, vals)
     vals = np.array([distance_fn_q(problem, q, float(R)).d_value
                      for R in Rs])
-    return DistanceCurve(Rs, vals, "d_q")
+    return DistanceCurve(Rs, vals)
 
 
 def distance_bound(theta_r: float, R_dagger: float, R: float) -> float:

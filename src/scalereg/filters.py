@@ -24,17 +24,17 @@ g(t) = g~(t / kappa^2) / kappa^2 and r(t) = r~(t / kappa^2), with
 lambda in the same units.  At kappa^2 = 1 every filter is on its
 canonical domain [0, 1].
 
-The check_* functions verify the conditions by grid maximization; the
-default grids (400 log-spaced lambdas in [1e-6, 1], 1000 linear t in
-[0, 1]) resolve the suprema of these smooth functions well below the
-1e-9 comparison tolerance.
+The check_* functions verify the conditions by grid maximization on
+fixed grids (400 log-spaced lambdas in [1e-6, 1], 1000 linear t in
+[0, 1]; the covering check uses 1000 log-spaced t in [1e-12, 1]), which
+resolve the suprema of these smooth functions well below the 1e-9
+comparison tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class FilterFamily:
     B: float
     gamma: float
     qualification_p: float
-    gamma_p: float
 
     def gamma_p_at(self, p: float) -> float:
         """Declared qualification constant at order p.
@@ -77,13 +76,13 @@ class FilterFamily:
 def make_filter(name: str) -> FilterFamily:
     if name == "tikhonov":
         return FilterFamily("tikhonov", D=1.0, B=1.0, gamma=1.0,
-                            qualification_p=1.0, gamma_p=1.0)
+                            qualification_p=1.0)
     if name == "cutoff":
         return FilterFamily("cutoff", D=1.0, B=1.0, gamma=1.0,
-                            qualification_p=math.inf, gamma_p=1.0)
+                            qualification_p=math.inf)
     if name == "landweber":
         return FilterFamily("landweber", D=1.0, B=2.0, gamma=1.0,
-                            qualification_p=math.inf, gamma_p=1.0 / math.e)
+                            qualification_p=math.inf)
     raise ValueError(f"unknown filter {name!r}; expected one of "
                      f"{FILTER_NAMES}")
 
@@ -143,35 +142,29 @@ def residual_values(filt: FilterFamily, lam: float, spectrum,
 # grid checks of the definition
 # ---------------------------------------------------------------------------
 
-def default_lambda_grid() -> np.ndarray:
-    return np.geomspace(1e-6, 1.0, 400)
+def _read_only(grid: np.ndarray) -> np.ndarray:
+    grid.flags.writeable = False
+    return grid
 
 
-def default_t_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, 1000)
+_LAMBDA_GRID = _read_only(np.geomspace(1e-6, 1.0, 400))
+_T_GRID = _read_only(np.linspace(0.0, 1.0, 1000))
+_COVERING_T_GRID = _read_only(np.geomspace(1e-12, 1.0, 1000))
 
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    filter_id: str
     D_obs: float
     B_obs: float
     gamma_obs: float
     passed: bool
 
 
-def check_regularization_constants(filt: FilterFamily,
-                                   lambda_grid=None,
-                                   t_grid=None) -> ConstantsReport:
+def check_regularization_constants(filt: FilterFamily) -> ConstantsReport:
     """Observed suprema of the three basic conditions over the grids."""
-    lams = default_lambda_grid() if lambda_grid is None else \
-        np.asarray(lambda_grid, dtype=np.float64)
-    ts = default_t_grid() if t_grid is None else \
-        np.asarray(t_grid, dtype=np.float64)
-    if lams.size == 0 or ts.size == 0:
-        raise ValueError("grids must be nonempty")
+    ts = _T_GRID
     D_obs = B_obs = gamma_obs = 0.0
-    for lam in lams:
+    for lam in _LAMBDA_GRID:
         g = filter_values(filt, float(lam), ts)
         r = residual_values(filt, float(lam), ts)
         D_obs = max(D_obs, float(np.abs(ts * g).max()))
@@ -179,32 +172,26 @@ def check_regularization_constants(filt: FilterFamily,
         gamma_obs = max(gamma_obs, float(np.abs(r).max()))
     passed = (D_obs <= filt.D + _TOL and B_obs <= filt.B + _TOL
               and gamma_obs <= filt.gamma + _TOL)
-    return ConstantsReport(filt.id, D_obs, B_obs, gamma_obs, passed)
+    return ConstantsReport(D_obs, B_obs, gamma_obs, passed)
 
 
-def check_qualification(filt: FilterFamily, p: float,
-                        lambda_grid=None, t_grid=None) -> float:
+def check_qualification(filt: FilterFamily, p: float) -> float:
     """Largest observed |r_lambda(t)| t^p / lambda^p over the grids."""
     if not p > 0:
         raise ValueError("p must be positive")
-    lams = default_lambda_grid() if lambda_grid is None else \
-        np.asarray(lambda_grid, dtype=np.float64)
-    ts = default_t_grid() if t_grid is None else \
-        np.asarray(t_grid, dtype=np.float64)
+    ts = _T_GRID
     worst = 0.0
-    for lam in lams:
+    for lam in _LAMBDA_GRID:
         r = residual_values(filt, float(lam), ts)
         worst = max(worst, float((np.abs(r) * ts ** p).max() / lam ** p))
     return worst
 
 
-def check_covering(p: float, phi: IndexFunction, t_grid=None) -> bool:
+def check_covering(p: float, phi: IndexFunction) -> bool:
     """True iff t^p / phi(t) is nondecreasing on the grid."""
     if not p > 0:
         raise ValueError("p must be positive")
-    if t_grid is None:
-        t_grid = np.geomspace(1e-12, 1.0, 1000)
-    ts = np.asarray(t_grid, dtype=np.float64)
+    ts = _COVERING_T_GRID
     vals = np.asarray(phi(ts))
     keep = (ts > 0) & (vals > 0)
     ratio = ts[keep] ** p / vals[keep]
@@ -213,7 +200,6 @@ def check_covering(p: float, phi: IndexFunction, t_grid=None) -> bool:
 
 @dataclass(frozen=True)
 class PropReport:
-    filter_id: str
     p: float
     c_p: float
     max_ratio_1: float
@@ -221,32 +207,29 @@ class PropReport:
     passed: bool
 
 
-def check_prop_regularization(filt: FilterFamily, phi: IndexFunction,
-                              lambda_grid=None, t_grid=None,
-                              p: Optional[float] = None) -> PropReport:
+def check_prop_regularization(filt: FilterFamily,
+                              phi: IndexFunction) -> PropReport:
     """Residual-versus-index-function bounds, grid-maximized.
 
     Checks sup_t |r_lambda(t)| phi(t) <= c_p phi(lambda) and
     sup_t |r_lambda(t)| phi(lambda + t) <= 2^p c_p phi(lambda) with
-    c_p = max(gamma, gamma_p), for a qualification order p covering phi.
+    c_p = max(gamma, gamma_p), for a qualification order p covering phi:
+    the filter's own qualification if finite, else the smallest of 1, 2,
+    4, 8 that covers phi.
     """
-    if p is None:
-        if math.isfinite(filt.qualification_p):
-            p = filt.qualification_p
-        else:
-            p = next((c for c in (1.0, 2.0, 4.0, 8.0)
-                      if check_covering(c, phi, t_grid)), None)
-            if p is None:
-                raise ValueError("no tested qualification order covers phi")
-    if not check_covering(p, phi, t_grid):
-        raise ValueError(f"qualification p={p} does not cover phi")
-    lams = default_lambda_grid() if lambda_grid is None else \
-        np.asarray(lambda_grid, dtype=np.float64)
-    ts = default_t_grid() if t_grid is None else \
-        np.asarray(t_grid, dtype=np.float64)
+    if math.isfinite(filt.qualification_p):
+        p = filt.qualification_p
+        if not check_covering(p, phi):
+            raise ValueError(f"qualification p={p} does not cover phi")
+    else:
+        p = next((c for c in (1.0, 2.0, 4.0, 8.0)
+                  if check_covering(c, phi)), None)
+        if p is None:
+            raise ValueError("no tested qualification order covers phi")
+    ts = _T_GRID
     c_p = max(filt.gamma, filt.gamma_p_at(p))
     ratio_1 = ratio_2 = 0.0
-    for lam in lams:
+    for lam in _LAMBDA_GRID:
         lam = float(lam)
         r = np.abs(residual_values(filt, lam, ts))
         denom = float(np.asarray(phi(np.array(lam))))
@@ -254,4 +237,4 @@ def check_prop_regularization(filt: FilterFamily, phi: IndexFunction,
         ratio_2 = max(ratio_2,
                       float((r * np.asarray(phi(ts + lam))).max()) / denom)
     passed = (ratio_1 <= c_p + _TOL and ratio_2 <= 2.0 ** p * c_p + _TOL)
-    return PropReport(filt.id, float(p), c_p, ratio_1, ratio_2, passed)
+    return PropReport(float(p), c_p, ratio_1, ratio_2, passed)

@@ -8,7 +8,7 @@ pure power can be represented (severely ill-posed spectra).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -64,25 +64,24 @@ def power_fn(exponent: float) -> IndexFunction:
     return IndexFunction(kind="power", exponent=exponent)
 
 
-IDENTITY = power_fn(1.0)
+# the grid checks read 512 log-spaced points of [1e-12 t_max, t_max]
+_N_GRID = 512
+_SUBLINEAR_RTOL = 1e-9
 
 
-def check_index_function(phi: Callable[[np.ndarray], np.ndarray],
-                         t_max: float = 1.0,
-                         n_grid: int = 512) -> bool:
-    """Grid check: strictly increasing on (0, t_max] and phi(0) = 0."""
-    grid = np.geomspace(t_max * 1e-12, t_max, n_grid)
-    vals = np.asarray(phi(grid))
+def check_index_function(phi: Callable[[np.ndarray], np.ndarray]) -> bool:
+    """Grid check: strictly increasing on (0, 1] and phi(0) = 0."""
+    vals = np.asarray(phi(np.geomspace(1e-12, 1.0, _N_GRID)))
     v0 = float(np.asarray(phi(np.array(0.0))))
     return bool(np.all(np.diff(vals) > 0) and vals[0] > 0 and v0 == 0.0)
 
 
-def check_sublinear(phi, t_max: float = 1.0, n_grid: int = 512,
-                    rtol: float = 1e-9) -> bool:
-    """Grid check that phi(t)/t is nonincreasing (sub-linearity)."""
-    grid = np.geomspace(t_max * 1e-12, t_max, n_grid)
+def check_sublinear(phi, t_max: float = 1.0) -> bool:
+    """Grid check that phi(t)/t is nonincreasing on (0, t_max]
+    (sub-linearity)."""
+    grid = np.geomspace(t_max * 1e-12, t_max, _N_GRID)
     ratio = np.asarray(phi(grid)) / grid
-    return bool(np.all(ratio[1:] <= ratio[:-1] * (1.0 + rtol)))
+    return bool(np.all(ratio[1:] <= ratio[:-1] * (1.0 + _SUBLINEAR_RTOL)))
 
 
 def from_config(obj) -> IndexFunction:
@@ -97,15 +96,21 @@ def from_config(obj) -> IndexFunction:
     if not isinstance(obj, dict):
         raise ValueError("index function config must be a mapping")
     kind = obj.get("kind")
+
+    def field(key):
+        if key not in obj:
+            raise ValueError(f"{kind} index function needs {key!r}")
+        return obj[key]
+
     if kind == "power":
-        return IndexFunction(kind="power", exponent=float(obj["exponent"]))
+        return IndexFunction(kind="power", exponent=float(field("exponent")))
     if kind == "log":
-        return IndexFunction(kind="log", p=float(obj["p"]),
+        return IndexFunction(kind="log", p=float(field("p")),
                              nu=float(obj.get("nu", 0.0)))
     if kind == "product":
         return IndexFunction(kind="product",
-                             left=from_config(obj["left"]),
-                             right=from_config(obj["right"]))
+                             left=from_config(field("left")),
+                             right=from_config(field("right")))
     raise ValueError(f"unknown index function kind: {kind!r}")
 
 

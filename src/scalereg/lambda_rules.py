@@ -196,5 +196,6 @@ class LambdaRule:
             return lambda_phi_inverse(sm.a_link, sm.q, m)
         if self.kind == "balance_general":
             return lambda_balance_general(problem.t, sm, m)
-        case = self.params.get("case", "regular")
-        return lambda_power_table(sm.a_link, sm.b, sm.r, sm.q, m, case)
+        # a power table without a case is refused, never guessed
+        return lambda_power_table(sm.a_link, sm.b, sm.r, sm.q, m,
+                                  self.params.get("case"))

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-V_PATTERNS = ("constant", "alternating", "seeded")
+V_PATTERNS = ("constant", "seeded")
 
 # the two smoothness regimes of the rate analysis
 CASES = ("oversmoothing", "regular")
@@ -158,10 +158,9 @@ def build_power_problem(s: float, a_link: float, r: float, q: float,
     * v_j where the source element v has norm R_dagger and its shape is
     chosen by ``v_pattern``:
 
-    - "constant":    v_j = R_dagger / sqrt(d)
-    - "alternating": same magnitude, alternating sign
-    - "seeded":      standard normal draws rescaled to norm R_dagger
-                     (counter-based generator keyed by ``seed``)
+    - "constant": v_j = R_dagger / sqrt(d)
+    - "seeded":   standard normal draws rescaled to norm R_dagger
+                  (counter-based generator keyed by ``seed``)
     """
     spec = SmoothnessSpec(r=float(r), a_link=float(a_link), q=float(q),
                           R_dagger=float(R_dagger), s=float(s))
@@ -171,9 +170,6 @@ def build_power_problem(s: float, a_link: float, r: float, q: float,
     a = j ** (s * (1.0 - 1.0 / (2.0 * a_link)))
     if v_pattern == "constant":
         v = np.full(d, R_dagger / np.sqrt(d))
-    elif v_pattern == "alternating":
-        v = np.full(d, R_dagger / np.sqrt(d))
-        v[1::2] *= -1.0
     elif v_pattern == "seeded":
         gen = np.random.Generator(np.random.Philox(
             np.random.SeedSequence([int(seed)])))

@@ -75,26 +75,23 @@ def write_curve_csv(path, header, xs, ys) -> None:
 
 
 def write_bounds_csv(path, reports) -> None:
-    """One row per BoundCheckReport (or equivalent dict)."""
+    """One row per BoundCheckReport."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(BOUNDS_HEADER)
         for rep in reports:
-            doc = rep.to_dict() if hasattr(rep, "to_dict") else dict(rep)
-            w.writerow((doc["quantity"], _f(doc["lambda"]), str(doc["m"]),
-                        _f(doc["eta"]), str(doc["trials"]),
-                        _f(doc["empirical_quantile"]),
-                        _f(doc["bound_value"]), _f(doc["coverage"])))
+            w.writerow((rep.quantity, _f(rep.lam), str(rep.m), _f(rep.eta),
+                        str(rep.trials), _f(rep.empirical_quantile),
+                        _f(rep.bound_value), _f(rep.coverage)))
 
 
 def write_rate_csv(path, report) -> None:
     """Per-m rows plus a '#'-prefixed footer with the fit summary.
 
     The trailing ``cg_steps`` column is the cell's median PCG step count
-    (``inf`` when most trials fell back to LU, ``nan`` for a row that
-    does not carry it).
+    (``inf`` when most trials fell back to LU).
     """
-    doc = report.to_dict() if hasattr(report, "to_dict") else dict(report)
+    doc = report.to_dict()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(RATE_HEADER)
@@ -102,7 +99,7 @@ def write_rate_csv(path, report) -> None:
             w.writerow((str(row["m"]), _f(row["lambda_used"]),
                         _f(row["mean_error"]), _f(row["median_error"]),
                         _f(row["std_error"]),
-                        _f(row.get("cg_steps", math.nan))))
+                        _f(row["cg_steps"])))
         for key in _RATE_FOOTER_KEYS:
             val = doc[key]
             if isinstance(val, bool):

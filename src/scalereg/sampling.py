@@ -124,9 +124,6 @@ class Estimate:
 
     f_hat: np.ndarray
     u_hat: np.ndarray
-    lam: float
-    filter_id: str
-    m: int
     cg_steps: int = 0
     lu_fallback: bool = False
 
@@ -417,8 +414,7 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
         evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
         g = filter_values(filt, lam, evals, problem.kappa_sq)
         u = phi.T @ (U @ (g * (U.T @ y))) / m
-    return Estimate(f_hat=u / problem.l, u_hat=u, lam=float(lam),
-                    filter_id=filt.id, m=m, cg_steps=steps,
+    return Estimate(f_hat=u / problem.l, u_hat=u, cg_steps=steps,
                     lu_fallback=fallback)
 
 

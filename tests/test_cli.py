@@ -131,7 +131,16 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("rate", SMALL_RATE, "problem.d=1", "/problem"),
             ("rate", SMALL_RATE, "problem.sigma=-1", "/problem"),
             # the power table's case is the config's case
-            ("rate", SMALL_RATE, "case=regular", "/case")]:
+            ("rate", SMALL_RATE, "case=regular", "/case"),
+            # bounds has no case, so its power table must name one
+            ("bounds", SMALL_BOUNDS, "lambda_rule.kind=power_table",
+             "/lambda_rule/params/case"),
+            # zeta is read as an index function before any trial runs
+            ("rate", SMALL_RATE, 'zeta={"kind": "bogus"}', "/zeta"),
+            ("rate", dict(SMALL_RATE, error_norm="zeta"),
+             'zeta={"kind": "power"}', "/zeta"),
+            ("bounds", SMALL_BOUNDS, 'zeta={"kind": "power", "exponent": -1}',
+             "/zeta")]:
         cfg = _write(tmp_path, "cfg.json", doc)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out),

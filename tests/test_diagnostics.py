@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scalereg import (
-    IDENTITY,
     QUANTITIES,
     BoundCheckReport,
     bound_appendix,
@@ -28,6 +27,8 @@ from scalereg import (
 from scalereg.diagnostics import _trial_values
 from scalereg.model import SpectralProblem, gaussian_noise
 from scalereg.sampling import _stream
+
+IDENTITY = power_fn(1.0)
 
 
 def _problem(d=16, sigma=0.05):

@@ -113,7 +113,6 @@ def test_distance_curve_is_nonincreasing():
     assert np.all(np.diff(curve.values) < 0)
     curve_q = distance_curve(prob, Rs, q=2.0)
     assert np.all(np.diff(curve_q.values) < 0)
-    assert curve.kind == "d" and curve_q.kind == "d_q"
 
 
 def test_power_bound_dominates_exact_distance():

@@ -11,23 +11,25 @@ from scalereg import (
     check_prop_regularization,
     check_qualification,
     check_regularization_constants,
-    default_lambda_grid,
-    default_t_grid,
     filter_values,
     landweber_iterations,
     make_filter,
     power_fn,
     residual_values,
 )
+from scalereg.filters import _LAMBDA_GRID, _T_GRID
 
 LAMBDAS = st.floats(min_value=1e-6, max_value=1.0)
 
 
 def test_default_grids():
-    lg = default_lambda_grid()
+    # the checks' fixed grids, shared read-only by every call
+    lg, tg = _LAMBDA_GRID, _T_GRID
     assert lg.size == 400 and lg[0] == pytest.approx(1e-6) and lg[-1] == 1.0
-    tg = default_t_grid()
     assert tg.size == 1000 and tg[0] == 0.0 and tg[-1] == 1.0
+    for grid in (lg, tg):
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
 
 
 def test_make_filter_ids_and_validation():
@@ -103,7 +105,7 @@ def test_tikhonov_saturates_past_order_one():
 @given(LAMBDAS)
 @settings(max_examples=60, deadline=None)
 def test_filter_and_residual_pointwise_envelopes(lam):
-    t = default_t_grid()
+    t = _T_GRID
     for name in FILTER_NAMES:
         filt = make_filter(name)
         g = filter_values(filt, lam, t)
@@ -153,16 +155,14 @@ def test_prop_regularization_tikhonov_sqrt():
 
 
 def test_prop_regularization_cutoff_identity():
-    rep = check_prop_regularization(make_filter("cutoff"), power_fn(1.0),
-                                    p=1.0)
-    assert rep.passed
+    rep = check_prop_regularization(make_filter("cutoff"), power_fn(1.0))
+    assert rep.passed and rep.p == 1.0
     assert rep.max_ratio_2 <= 2.0 * rep.c_p + 1e-9
 
 
 def test_prop_regularization_refuses_uncovered_phi():
     with pytest.raises(ValueError):
-        check_prop_regularization(make_filter("tikhonov"), power_fn(2.0),
-                                  p=1.0)
+        check_prop_regularization(make_filter("tikhonov"), power_fn(2.0))
 
 
 def test_spectrum_rescaling_routes():
@@ -189,7 +189,7 @@ def test_spectrum_rescaling_routes():
 def test_landweber_acts_on_t_over_kappa_sq(kappa_sq):
     # bit for bit: g(t) = g~(t / kappa^2) / kappa^2, r(t) = r~(t / kappa^2)
     lw = make_filter("landweber")
-    t = default_t_grid() * kappa_sq
+    t = _T_GRID * kappa_sq
     for lam in (0.5, 0.01, 1e-7):
         assert np.array_equal(filter_values(lw, lam, t, kappa_sq),
                               filter_values(lw, lam, t / kappa_sq) / kappa_sq)
@@ -202,7 +202,7 @@ def test_tikhonov_and_cutoff_ignore_kappa_sq(name):
     # on t <= min(1, kappa^2) the value does not depend on kappa^2 at all
     filt = make_filter(name)
     for kappa_sq in (0.3, 1.0, 2.5, 1e3):
-        t = default_t_grid() * min(1.0, kappa_sq)
+        t = _T_GRID * min(1.0, kappa_sq)
         for lam in (0.5, 0.01, 1e-7):
             assert np.array_equal(filter_values(filt, lam, t, kappa_sq),
                                   filter_values(filt, lam, t))

@@ -8,8 +8,12 @@ from scalereg import (
     LambdaRule,
     PowerProblemSpec,
     config_hash,
+    errors,
+    estimate,
     lambda_power_table,
+    make_filter,
     run_rate_experiment,
+    sample_dataset,
     theoretical_exponent,
     truncation_dim,
 )
@@ -226,3 +230,31 @@ def test_cells_report_median_cg_steps(tmp_path, monkeypatch):
     write_rate_csv(path, rep)
     rows = path.read_text().splitlines()[1:4]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["0.0", "inf", "inf"]
+
+
+def test_cell_statistics_are_those_of_the_documented_trials():
+    # every trial of a cell, redrawn from the documented trial seeds
+    # (written out here, not taken from the harness) and solved again,
+    # gives the row's mean, median and sample std exactly; m = 16 < d
+    # takes the SVD route, m = 64 and 512 the primal one
+    import scalereg.sampling as sampling
+    cfg = _small_config(m_grid=(16, 64, 512), seed=3)
+    d = cfg.problem.d_override
+    assert 16 * d <= sampling._SVD_DIRECT_LIMIT
+    filt = make_filter(cfg.filter_id)
+    rep = run_rate_experiment(cfg)
+    for row, m in zip(rep.per_m, cfg.m_grid):
+        problem = cfg.problem.build(m, cfg.seed)
+        lam = cfg.lambda_rule.resolve(problem, m)
+        tseeds = np.random.SeedSequence([cfg.seed, m]).generate_state(
+            cfg.trials_per_m, dtype=np.uint64)
+        errs = []
+        for tseed in tseeds:
+            est = estimate(problem, sample_dataset(problem, m, int(tseed)),
+                           filt, lam)
+            assert (est.cg_steps > 0) == (m >= d)
+            errs.append(errors(problem, est)["h_norm"])
+        assert row["lambda_used"] == lam
+        assert row["mean_error"] == float(np.mean(errs))
+        assert row["median_error"] == float(np.median(errs))
+        assert row["std_error"] == float(np.std(errs, ddof=1))

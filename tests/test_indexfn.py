@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalereg import (
-    IDENTITY,
     IndexFunction,
     check_index_function,
     check_sublinear,
@@ -18,11 +17,6 @@ def test_power_values():
     assert phi(4.0) == 2.0
     assert phi(0.0) == 0.0
     np.testing.assert_allclose(phi(np.array([1.0, 9.0])), [1.0, 3.0])
-
-
-def test_identity_is_power_one():
-    assert IDENTITY.kind == "power" and IDENTITY.exponent == 1.0
-    assert IDENTITY(0.37) == 0.37
 
 
 def test_log_kind_damps_and_vanishes_at_zero():
@@ -47,7 +41,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         IndexFunction(kind="log", p=1.0, nu=-1.0)
     with pytest.raises(ValueError):
-        IndexFunction(kind="product", left=IDENTITY)
+        IndexFunction(kind="product", left=power_fn(1.0))
     with pytest.raises(ValueError):
         IndexFunction(kind="nope")
 
@@ -106,3 +100,8 @@ def test_from_config_rejects_garbage():
         from_config(42)
     with pytest.raises(ValueError):
         from_config({"kind": "spline"})
+    # a missing field is a ValueError naming it, not a bare KeyError
+    for cfg in ({"kind": "power"}, {"kind": "log", "nu": 1.0},
+                {"kind": "product", "left": {"kind": "power", "exponent": 1}}):
+        with pytest.raises(ValueError, match="needs"):
+            from_config(cfg)

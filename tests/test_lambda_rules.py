@@ -139,6 +139,11 @@ def test_rule_names_and_resolve():
         LambdaRule("newton", {})
     with pytest.raises(ValueError):
         LambdaRule("fixed", {"value": 1.5}).resolve(prob, 100)
+    # a table without a case is refused, even where "regular" would hold
+    regular = build_power_problem(s=1.0, a_link=0.5, r=2.0, q=4.0,
+                                  R_dagger=1.0, d=64, sigma=0.05)
+    with pytest.raises(ValueError, match="case"):
+        LambdaRule("power_table").resolve(regular, 100)
 
 
 def test_rules_needing_smoothness_reject_bare_problems():

@@ -38,7 +38,7 @@ def test_covariance_spectrum_is_link_power_of_scale():
 
 
 def test_source_norm_matches_r_dagger():
-    for pattern in ("constant", "alternating", "seeded"):
+    for pattern in ("constant", "seeded"):
         prob = build_power_problem(s=1.0, a_link=0.5, r=0.7, q=2.0,
                                    R_dagger=3.0, d=17, sigma=0.0,
                                    v_pattern=pattern)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from scalereg import BoundCheckReport
+from scalereg import BoundCheckReport, RateReport
 from scalereg.reporting import (
     DISTANCE_HEADER,
     EFFDIM_HEADER,
@@ -80,24 +80,22 @@ def test_bounds_csv_round_trip(tmp_path):
 
 
 def test_rate_csv_round_trip(tmp_path):
-    report = {
-        "per_m": [
-            {"m": 256, "lambda_used": 0.0625, "mean_error": 0.0169,
-             "median_error": 0.0165, "std_error": 0.0023, "cg_steps": 7},
-            {"m": 512, "lambda_used": 0.0442, "mean_error": 0.0117,
-             "median_error": 0.0118, "std_error": 0.0014},
-        ],
-        "fitted_exponent": -0.18, "fit_stderr": 0.02,
-        "theoretical_exponent": -0.25, "pass": True,
-        "degenerate": False, "config_hash": "ab" * 32,
-    }
+    report = RateReport(
+        per_m=({"m": 256, "lambda_used": 0.0625, "mean_error": 0.0169,
+                "median_error": 0.0165, "std_error": 0.0023, "cg_steps": 7},
+               {"m": 512, "lambda_used": 0.0442, "mean_error": 0.0117,
+                "median_error": 0.0118, "std_error": 0.0014,
+                "cg_steps": float("inf")}),
+        fitted_exponent=-0.18, fit_stderr=0.02, theoretical_exponent=-0.25,
+        passed=True, config_hash="ab" * 32)
     path = tmp_path / "rate.csv"
     write_rate_csv(path, report)
-    # a row without cg_steps reads nan; the footer lines are '# key,value'
+    # a cell whose trials fell back to LU reads inf; the footer lines are
+    # '# key,value'
     assert path.read_text() == (
         "m,lambda,mean,median,std,cg_steps\n"
         "256,0.0625,0.0169,0.0165,0.0023,7.0\n"
-        "512,0.0442,0.0117,0.0118,0.0014,nan\n"
+        "512,0.0442,0.0117,0.0118,0.0014,inf\n"
         "# fitted_exponent,-0.18\n"
         "# fit_stderr,0.02\n"
         "# theoretical_exponent,-0.25\n"

@@ -318,7 +318,8 @@ def test_all_filters_run_on_wide_and_tall_data():
         ds = sample_dataset(prob, m, seed=1)
         for name in ("tikhonov", "cutoff", "landweber"):
             est = estimate(prob, ds, make_filter(name), 0.1)
-            assert np.all(np.isfinite(est.u_hat)) and est.m == m
+            assert np.all(np.isfinite(est.u_hat))
+            assert est.f_hat.shape == (prob.d,)
 
 
 def test_estimate_rejects_bad_lambda():
@@ -347,8 +348,7 @@ def test_error_norms():
     prob = build_power_problem(s=1.0, a_link=0.25, r=1.0, q=2.0,
                                R_dagger=1.0, d=3, sigma=0.0)
     est = sampling.Estimate(f_hat=prob.f_true + np.array([0.1, 0.0, -0.2]),
-                            u_hat=np.zeros(3), lam=0.1, filter_id="cutoff",
-                            m=10)
+                            u_hat=np.zeros(3))
     out = errors(prob, est, zeta=None)
     assert out["h_norm"] == pytest.approx(np.sqrt(0.01 + 0.04))
     want_pred = np.linalg.norm(prob.a * np.array([0.1, 0.0, -0.2]))
