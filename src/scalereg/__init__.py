@@ -8,7 +8,7 @@ from .diagnostics import (QUANTITIES, BoundCheckReport, bound_appendix,
                           check_interpolation, check_lemma_envelope,
                           compute_lambda_q, compute_psi, compute_tx_deviation,
                           compute_upsilon, compute_xi,
-                          montecarlo_coverage_batch, xi_from_operator)
+                          montecarlo_coverage_batch)
 from .distance import (DistanceCurve, DistanceResult, distance_bound,
                        distance_curve, distance_fn, distance_fn_q,
                        r_of_lambda)
@@ -19,9 +19,8 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       check_qualification, check_regularization_constants,
                       filter_values, landweber_iterations, make_filter,
                       residual_values)
-from .harness import (ERROR_NORMS, ExperimentConfig, PowerProblemSpec,
-                      RateReport, config_hash, run_rate_experiment,
-                      truncation_dim)
+from .harness import (ExperimentConfig, PowerProblemSpec, RateReport,
+                      config_hash, run_rate_experiment, truncation_dim)
 from .indexfn import (IndexFunction, check_index_function, check_sublinear,
                       power_fn)
 from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
@@ -31,7 +30,7 @@ from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
                      midpoint_grid)
 from .model import (CASES, NoiseModel, SmoothnessSpec, SpectralProblem,
                     build_power_problem, forward_eval,
-                    gaussian_noise, hilbert_scale_norm, problem_from_dict)
+                    gaussian_noise, hilbert_scale_norm)
 from .sampling import (Dataset, Estimate, design_matrix, empirical_cov,
                        errors, estimate, sample_dataset)
 

@@ -4,9 +4,11 @@
                      [--set key=value]...
 
 Commands: rate, effdim, bounds, distance, filters-check, decompose.
-Configs are JSON; --set overrides a (dotted) config key.  Trials run
-serially, and a seed (--seed or the config's "seed") is a non-negative
-integer.  Exit codes:
+Configs are JSON; --set overrides a (dotted) config key.  Each command
+reads the fields of its list in ``FIELDS`` (a ``problem`` those of
+``PROBLEM_FIELDS``, a ``lambda_rule`` those of ``RULE_FIELDS`` and
+its ``params`` those of ``RULE_PARAMS``) and refuses any other.  Trials run serially, and a seed (--seed or the
+config's "seed") is a non-negative integer.  Exit codes:
 0 pass, 2 acceptance failure, 1 runtime error, 64 usage error, 65
 malformed config (the message carries a JSON pointer to the field).
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import QUANTITIES, montecarlo_coverage_batch
+from .diagnostics import QUANTITIES, _check_zeta, montecarlo_coverage_batch
 from .distance import distance_curve
 from .effdim import effdim_curve, fit_effdim_exponent
 from .filters import (FILTER_NAMES, check_prop_regularization,
@@ -32,7 +34,7 @@ from .indexfn import from_config as indexfn_from_config
 from .indexfn import power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule
 from .mercer import K2_NOTE, mercer_decompose
-from .model import CASES, problem_from_dict
+from .model import CASES
 from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
                         write_curve_csv, write_json, write_manifest,
                         write_rate_csv)
@@ -40,8 +42,23 @@ from .svgplot import write_loglog_svg
 
 EX_OK, EX_ERROR, EX_FAIL, EX_USAGE, EX_CONFIG = 0, 1, 2, 64, 65
 
-COMMANDS = ("rate", "effdim", "bounds", "distance", "filters-check",
-            "decompose")
+# the config fields each command reads; any other key is a config error
+FIELDS = {
+    "rate": ("seed", "problem", "filter", "lambda_rule", "m_grid",
+             "trials_per_m", "error_norm", "case", "tolerance"),
+    "effdim": ("seed", "spectrum", "problem", "lambda_lo", "lambda_hi",
+               "points_per_decade", "expected_b", "b_tolerance"),
+    "bounds": ("seed", "problem", "quantities", "etas", "m_values", "trials",
+               "lambda_rule", "s_exponent", "zeta"),
+    "distance": ("seed", "problem", "R_values", "q"),
+    "filters-check": (),
+    "decompose": ("seed", "kernel", "grid_n", "top"),
+}
+PROBLEM_FIELDS = ("s", "a_link", "r", "q", "R_dagger", "sigma", "v_pattern",
+                  "d")
+RULE_FIELDS = ("kind", "params")
+# the params each lambda-rule kind reads; the other kinds read none
+RULE_PARAMS = {"fixed": ("value",), "power_table": ("case",)}
 
 _USAGE = """\
 usage: scalereg COMMAND [--config PATH] [--out DIR] [--seed N]
@@ -144,11 +161,19 @@ def _float_list(doc, key, ptr, default=_MISSING):
     return vals
 
 
+def _refuse_unknown(doc: dict, fields, ptr: str) -> None:
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"{ptr}/{key}", "unknown field (known: "
+                              f"{', '.join(fields) or 'none'})")
+
+
 def _lambda_rule_from(doc, ptr) -> LambdaRule:
     kind = _get(doc, "kind", ptr, cast=str, choices=RULE_NAMES)
     params = _get(doc, "params", ptr, default={})
     if not isinstance(params, dict):
         raise ConfigError(f"{ptr}/params", "must be an object")
+    _refuse_unknown(params, RULE_PARAMS.get(kind, ()), f"{ptr}/params")
     if kind == "fixed":
         value = _get(params, "value", f"{ptr}/params", cast=float)
         if not 0 < value <= 1:
@@ -201,14 +226,7 @@ def _zeta_from(doc):
 
 
 def _concrete_problem(doc, ptr, seed: int):
-    """An explicit SpectralProblem (inline arrays or a power spec + d)."""
-    if not isinstance(doc, dict):
-        raise ConfigError(ptr, "expected an object")
-    if "a" in doc:
-        try:
-            return problem_from_dict(doc)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(ptr, f"bad inline problem: {exc}")
+    """The SpectralProblem of a power spec with an explicit d."""
     spec = _power_spec_from(doc, ptr)
     if spec.d_override is None:
         raise ConfigError(f"{ptr}/d", "missing required field (this command "
@@ -226,9 +244,8 @@ def _experiment_from_doc(doc, seed: int) -> ExperimentConfig:
         m_grid = tuple(_strict_int(m) for m in m_grid)
     except (TypeError, ValueError):
         raise ConfigError("/m_grid", "must be a list of integers")
-    _zeta_from(doc)  # checked here; the config keeps the mapping
     kwargs = _present(doc, "", trials_per_m=int, error_norm=str, case=str,
-                      tolerance=float, zeta=None)
+                      tolerance=float)
     if "filter" in doc:
         kwargs["filter_id"] = _get(doc, "filter", "", cast=str,
                                    choices=FILTER_NAMES)
@@ -240,7 +257,8 @@ def _experiment_from_doc(doc, seed: int) -> ExperimentConfig:
                                 **kwargs)
     except ValueError as exc:
         msg = str(exc)
-        for key in ("m_grid", "trials_per_m", "error_norm", "case", "zeta"):
+        for key in ("m_grid", "trials_per_m", "error_norm", "case",
+                    "tolerance"):
             if key in msg:
                 raise ConfigError(f"/{key}", msg)
         raise ConfigError("", msg)
@@ -287,30 +305,31 @@ def _cmd_effdim(doc, out: Path, seed: int) -> int:
     ppd = _get(doc, "points_per_decade", "", cast=int, default=40)
     if not 0 < lo < hi:
         raise ConfigError("/lambda_lo", "need 0 < lambda_lo < lambda_hi")
+    if ppd < 1:
+        raise ConfigError("/points_per_decade", f"must be >= 1, got {ppd}")
+    # the decay exponent is fitted over [lambda_lo, lambda_hi] if and
+    # only if the config expects one
+    expected_b = _get(doc, "expected_b", "", cast=float, default=None)
+    tol = _get(doc, "b_tolerance", "", cast=float, default=0.05)
+    if tol < 0:
+        raise ConfigError("/b_tolerance", f"must be >= 0, got {tol!r}")
+    if expected_b is not None and hi > 1:
+        raise ConfigError("/lambda_hi", "fitting expected_b needs "
+                          f"lambda_hi <= 1, got {hi!r}")
     curve = effdim_curve(spectrum, lo, hi, ppd)
     write_curve_csv(out / "effdim.csv", EFFDIM_HEADER, curve.lambdas,
                     curve.values)
     write_manifest(out / "manifest.json", doc, seed)
-    rc = EX_OK
     msg = (f"effdim: N({lo:g}) = {curve.values[0]:.6g}, "
            f"N({hi:g}) = {curve.values[-1]:.6g}")
-    expected_b = _get(doc, "expected_b", "", cast=float, default=None)
-    if expected_b is not None or doc.get("fit"):
-        fit = fit_effdim_exponent(spectrum,
-                                  _get(doc, "fit_lo", "", cast=float,
-                                       default=lo),
-                                  _get(doc, "fit_hi", "", cast=float,
-                                       default=hi))
-        msg += f", fitted decay exponent b = {fit['b_hat']:.4f}"
-        if expected_b is not None:
-            tol = _get(doc, "b_tolerance", "", cast=float, default=0.05)
-            if abs(fit["b_hat"] - expected_b) > tol:
-                msg += f" (expected {expected_b:g} +- {tol:g}) -> FAIL"
-                rc = EX_FAIL
-            else:
-                msg += f" (expected {expected_b:g} +- {tol:g}) -> PASS"
-    print(msg)
-    return rc
+    if expected_b is None:
+        print(msg)
+        return EX_OK
+    b_hat = fit_effdim_exponent(spectrum, lo, hi)["b_hat"]
+    failed = abs(b_hat - expected_b) > tol
+    print(f"{msg}, fitted decay exponent b = {b_hat:.4f} (expected "
+          f"{expected_b:g} +- {tol:g}) -> {'FAIL' if failed else 'PASS'}")
+    return EX_FAIL if failed else EX_OK
 
 
 def _cmd_bounds(doc, out: Path, seed: int) -> int:
@@ -331,6 +350,9 @@ def _cmd_bounds(doc, out: Path, seed: int) -> int:
         m_values = [_strict_int(m) for m in m_values]
     except (TypeError, ValueError):
         raise ConfigError("/m_values", "must be a list of integers")
+    if not m_values or min(m_values) < 1:
+        raise ConfigError("/m_values", "must be a nonempty list of sample "
+                          "sizes >= 1")
     trials = _get(doc, "trials", "", cast=int, default=500)
     if trials < 100:
         raise ConfigError("/trials", "need at least 100 trials")
@@ -342,10 +364,21 @@ def _cmd_bounds(doc, out: Path, seed: int) -> int:
         _get(rule.params, "case", "/lambda_rule/params")
     s_exp = _get(doc, "s_exponent", "", cast=float, default=0.5)
     zeta = _zeta_from(doc)
+    lams = [rule.resolve(problem, m) for m in m_values]
+    # XI_S's t^s and XI_ZETA's zeta pass the coverage batch's own check
+    # at every cell before any trial runs, whether or not the run reads
+    # them
+    for ptr, fn in (("/s_exponent", {"kind": "power", "exponent": s_exp}),
+                    ("/zeta", zeta)):
+        try:
+            for lam in lams:
+                if fn is not None:
+                    _check_zeta(fn, float(np.max(problem.t)) + lam)
+        except ValueError as exc:
+            raise ConfigError(ptr, str(exc))
 
     reports = []
-    for m in m_values:
-        lam = rule.resolve(problem, m)
+    for m, lam in zip(m_values, lams):
         reports.extend(montecarlo_coverage_batch(
             problem, quantities, lam, m, etas, trials, seed,
             s=s_exp, zeta=zeta))
@@ -424,8 +457,10 @@ def _cmd_decompose(doc, out: Path, seed: int) -> int:
     grid_n = _get(doc, "grid_n", "", cast=int, default=512)
     if grid_n < 16:
         raise ConfigError("/grid_n", "must be >= 16")
-    w, _ = mercer_decompose(kernel, grid_n)
     top = _get(doc, "top", "", cast=int, default=12)
+    if top < 1:
+        raise ConfigError("/top", f"must be >= 1, got {top}")
+    w, _ = mercer_decompose(kernel, grid_n)
     n_pos = int(np.count_nonzero(w > 0))
     payload = {"kernel": kernel, "grid_n": grid_n,
                "eigenvalues": [float(v) for v in w[:top]],
@@ -475,7 +510,7 @@ def main(argv=None) -> int:
         print(_USAGE, end="")
         return EX_OK if argv else EX_USAGE
     command = argv[0]
-    if command not in COMMANDS:
+    if command not in FIELDS:
         sys.stderr.write(f"unknown command {command!r}\n{_USAGE}")
         return EX_USAGE
 
@@ -510,6 +545,11 @@ def main(argv=None) -> int:
             doc = {}
         for spec in args.overrides:
             _apply_override(doc, spec)
+        _refuse_unknown(doc, FIELDS[command], "")
+        for key, fields in (("problem", PROBLEM_FIELDS),
+                            ("lambda_rule", RULE_FIELDS)):
+            if isinstance(doc.get(key), dict):
+                _refuse_unknown(doc[key], fields, f"/{key}")
         seed = _seed_from(doc, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -33,8 +33,7 @@ from .filters import FilterFamily, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
 from .sampling import (Dataset, _clamped_eigh, _design_weights,
-                       _stream, _trial_seeds, crossprod, design_matrix,
-                       empirical_cov)
+                       _stream, _trial_seeds, crossprod, design_matrix)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
 
@@ -128,20 +127,6 @@ def _xi_given_eig(w, V, t, lam: float, zeta: IndexFunction) -> float:
     return float(np.linalg.norm(prod, 2))
 
 
-def xi_from_operator(problem: SpectralProblem, tx, lam: float,
-                     zeta: IndexFunction) -> float:
-    """compute_xi for an explicitly given empirical covariance matrix.
-
-    ``tx`` comes from the caller, so only its symmetric part is used.
-    """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    zeta = _check_zeta(zeta, float(np.max(problem.t)) + lam)
-    tx = np.asarray(tx, dtype=np.float64)
-    w, V = _clamped_eigh(0.5 * (tx + tx.T), problem.kappa_sq)
-    return _xi_given_eig(w, V, problem.t, lam, zeta)
-
-
 def compute_xi(problem: SpectralProblem, x, lam: float,
                zeta: IndexFunction) -> float:
     """|| zeta(T_x + lam I)^{-1} zeta(T + lam I) || for sub-linear zeta.
@@ -150,7 +135,11 @@ def compute_xi(problem: SpectralProblem, x, lam: float,
     ValueError when zeta fails the nondecreasing / sub-linearity grid
     checks.
     """
-    return xi_from_operator(problem, empirical_cov(problem, x), lam, zeta)
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    zeta = _check_zeta(zeta, float(np.max(problem.t)) + lam)
+    return _design_values(problem, x, None, lam, (),
+                          {"XI": zeta})[0]["XI"]
 
 
 def bound_constants(problem: SpectralProblem, lam: float) -> dict:

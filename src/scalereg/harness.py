@@ -1,7 +1,7 @@
 """Monte Carlo convergence-rate experiments on power-type problems.
 
 For a grid of sample sizes the harness picks lambda from the configured
-rule, draws seeded trials, computes the chosen error norm of each
+rule, draws seeded trials, computes the h-norm error of each
 regularized solution, and fits the decay exponent of the per-m median
 error in log-log coordinates.  The fitted exponent is compared against
 the closed-form theoretical one.
@@ -18,13 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .filters import check_covering, make_filter
-from .indexfn import from_config, power_fn, to_config
+from .indexfn import power_fn
 from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
 from .model import (CASES, V_PATTERNS, SmoothnessSpec, SpectralProblem,
                     _check_truncation, build_power_problem, gaussian_noise)
 from .sampling import _trial_seeds, errors, estimate, sample_dataset
-
-ERROR_NORMS = ("h", "prediction", "zeta")
 
 DEFAULT_TOLERANCE = 0.08
 _DEGENERATE_FLOOR = 1e-13
@@ -86,7 +84,9 @@ class PowerProblemSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One rate experiment.  A ``power_table`` rule that is missing or
-    has no ``params.case`` takes ``case``; a different one is refused."""
+    has no ``params.case`` takes ``case``; a different one is refused.
+    ``error_norm`` is "h", the norm that ``theoretical_exponent`` bounds.
+    """
 
     problem: PowerProblemSpec
     filter_id: str = "tikhonov"
@@ -97,21 +97,25 @@ class ExperimentConfig:
     error_norm: str = "h"
     case: str = "regular"
     tolerance: float = DEFAULT_TOLERANCE
-    zeta: Optional[dict] = None
 
     def __post_init__(self):
         ms = tuple(int(m) for m in self.m_grid)
         object.__setattr__(self, "m_grid", ms)
         if len(ms) < 2 or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m_grid must be strictly increasing")
+        if ms[0] < 1:
+            raise ValueError("m_grid entries must be >= 1")
         if math.log10(ms[-1] / ms[0]) < 1.5:
             raise ValueError("m_grid must span at least 1.5 decades")
         if self.trials_per_m < 10:
             raise ValueError("trials_per_m must be >= 10")
-        if self.error_norm not in ERROR_NORMS:
-            raise ValueError(f"error_norm must be one of {ERROR_NORMS}")
+        if self.error_norm != "h":
+            raise ValueError(f"error_norm must be 'h', got "
+                             f"{self.error_norm!r}")
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}")
+        if not self.tolerance >= 0:
+            raise ValueError(f"tolerance must be >= 0, got {self.tolerance!r}")
         rule = self.lambda_rule or LambdaRule("power_table")
         if rule.kind == "power_table":
             own = rule.params.get("case", self.case)
@@ -120,23 +124,18 @@ class ExperimentConfig:
                                  f"from case {self.case!r}")
             rule = LambdaRule(rule.kind, dict(rule.params, case=self.case))
         object.__setattr__(self, "lambda_rule", rule)
-        if self.error_norm == "zeta" and self.zeta is None:
-            raise ValueError("error_norm 'zeta' needs a zeta spec")
 
     def to_dict(self) -> dict:
-        out = {"problem": self.problem.to_dict(),
-               "filter": self.filter_id,
-               "lambda_rule": {"kind": self.lambda_rule.kind,
-                               "params": dict(self.lambda_rule.params)},
-               "m_grid": list(self.m_grid),
-               "trials_per_m": self.trials_per_m,
-               "seed": self.seed,
-               "error_norm": self.error_norm,
-               "case": self.case,
-               "tolerance": self.tolerance}
-        if self.zeta is not None:
-            out["zeta"] = to_config(from_config(self.zeta))
-        return out
+        return {"problem": self.problem.to_dict(),
+                "filter": self.filter_id,
+                "lambda_rule": {"kind": self.lambda_rule.kind,
+                                "params": dict(self.lambda_rule.params)},
+                "m_grid": list(self.m_grid),
+                "trials_per_m": self.trials_per_m,
+                "seed": self.seed,
+                "error_norm": self.error_norm,
+                "case": self.case,
+                "tolerance": self.tolerance}
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -183,8 +182,8 @@ def _wls_line(xs, ys, weights):
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """Execute the configured rate experiment; deterministic under seed.
 
-    Per m-cell: lambda from the rule, trials_per_m seeded datasets,
-    chosen error norm per trial.  Medians are fitted by weighted least
+    Per m-cell: lambda from the rule, trials_per_m seeded datasets, the
+    h-norm error per trial.  Medians are fitted by weighted least
     squares in log-log (weights = trials / variance of the log errors).
     Each cell also reports ``cg_steps``, the median number of PCG steps
     of the primal Tikhonov solve (0 on routes without one; a trial that
@@ -202,12 +201,8 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
         raise ValueError(
             f"filter {config.filter_id!r} (qualification {p:g}) does not "
             f"cover the {config.case} index function; config refused")
-    zeta = from_config(config.zeta) if config.zeta is not None else None
     theo = theoretical_exponent(sm.a_link, sm.a_link / sm.s, sm.r, sm.q,
                                 config.case)
-
-    key = {"h": "h_norm", "prediction": "prediction_norm",
-           "zeta": "zeta_norm"}[config.error_norm]
 
     cells = []
     for m in config.m_grid:
@@ -220,7 +215,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
             tseed) -> tuple:
         ds = sample_dataset(problem, m, int(tseed))
         est = estimate(problem, ds, filt, lam)
-        val = errors(problem, est, zeta=zeta)[key]
+        val = errors(problem, est)["h_norm"]
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite error in cell m={m}, trial={k}")
         return val, math.inf if est.lu_fallback else est.cg_steps

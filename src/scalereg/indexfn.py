@@ -112,12 +112,3 @@ def from_config(obj) -> IndexFunction:
                              left=from_config(field("left")),
                              right=from_config(field("right")))
     raise ValueError(f"unknown index function kind: {kind!r}")
-
-
-def to_config(phi: IndexFunction) -> dict:
-    if phi.kind == "power":
-        return {"kind": "power", "exponent": phi.exponent}
-    if phi.kind == "log":
-        return {"kind": "log", "p": phi.p, "nu": phi.nu}
-    return {"kind": "product", "left": to_config(phi.left),
-            "right": to_config(phi.right)}

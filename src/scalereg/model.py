@@ -226,22 +226,3 @@ def hilbert_scale_norm(problem: SpectralProblem, f: np.ndarray,
     if f.shape != (problem.d,):
         raise ValueError(f"f must have length d={problem.d}")
     return float(np.linalg.norm(problem.l ** s_exp * f))
-
-
-def problem_from_dict(doc: dict) -> SpectralProblem:
-    """A problem from an inline config, whose "basis" must be "cosine"."""
-    if doc["basis"] != "cosine":
-        raise ValueError(f"unsupported basis: {doc['basis']!r}")
-    noise = doc["noise"]
-    sm = doc.get("smoothness")
-    return SpectralProblem(
-        d=int(doc["d"]),
-        a=np.asarray(doc["a"], dtype=np.float64),
-        l=np.asarray(doc["l"], dtype=np.float64),
-        f_true=np.asarray(doc["f_true"], dtype=np.float64),
-        noise=NoiseModel(sigma=float(noise["sigma"]), M=float(noise["M"]),
-                         Sigma_const=float(noise["Sigma"])),
-        smoothness=None if sm is None else SmoothnessSpec(
-            r=float(sm["r"]), a_link=float(sm["a_link"]), q=float(sm["q"]),
-            R_dagger=float(sm["R_dagger"]), s=float(sm["s"])),
-    )

@@ -62,13 +62,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .filters import FilterFamily, filter_values
-from .indexfn import IndexFunction
 from .model import SpectralProblem, _cosine_coef, forward_eval
 
 DESIGNS = ("random_uniform", "midpoint_grid")
@@ -418,22 +416,16 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
                     lu_fallback=fallback)
 
 
-def errors(problem: SpectralProblem, est: Estimate,
-           zeta: Optional[IndexFunction] = None) -> dict:
+def errors(problem: SpectralProblem, est: Estimate) -> dict:
     """Error norms of an estimate against the problem's truth.
 
-    h_norm is the plain coefficient-space norm, prediction_norm weights
-    the gap by a_j (the population prediction error), and zeta_norm --
-    present when ``zeta`` is given -- weights by zeta(t_j) l_j.
+    h_norm is the plain coefficient-space norm, and prediction_norm
+    weights the gap by a_j (the population prediction error).
     """
     if est.f_hat.shape != (problem.d,):
         raise ValueError("estimate dimension does not match problem")
     gap = est.f_hat - problem.f_true
-    out = {
+    return {
         "h_norm": float(np.linalg.norm(gap)),
         "prediction_norm": float(np.linalg.norm(problem.a * gap)),
     }
-    if zeta is not None:
-        wts = np.asarray(zeta(problem.t)) * problem.l
-        out["zeta_norm"] = float(np.linalg.norm(wts * gap))
-    return out

@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import scalereg
-from scalereg.cli import main
+from scalereg.cli import (FIELDS, PROBLEM_FIELDS, RULE_FIELDS, RULE_PARAMS,
+                          main)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, name, doc):
@@ -40,14 +44,6 @@ SMALL_BOUNDS = {
 
 SMALL_EFFDIM = {"spectrum": [1.0, 0.25, 0.0625, 0.015625],
                 "lambda_lo": 1e-3, "lambda_hi": 0.5}
-
-# d = 2 and l = 1: the nearest point of the R-ball to f is f rescaled to
-# norm R, so d(R) = max(|f| - R, 0) with |f| = 1
-INLINE_PROBLEM = {"d": 2, "basis": "cosine", "a": [1.0, 0.5],
-                  "l": [1.0, 1.0], "f_true": [0.6, 0.8],
-                  "noise": {"sigma": 0.0, "M": 1.0, "Sigma": 1.0},
-                  "smoothness": {"r": 0.5, "a_link": 0.5, "q": 1.0,
-                                 "R_dagger": 1.0, "s": 1.0}}
 
 RATE_AND_BOUNDS = [pytest.param("rate", SMALL_RATE, id="rate"),
                    pytest.param("bounds", SMALL_BOUNDS, id="bounds")]
@@ -135,12 +131,44 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             # bounds has no case, so its power table must name one
             ("bounds", SMALL_BOUNDS, "lambda_rule.kind=power_table",
              "/lambda_rule/params/case"),
-            # zeta is read as an index function before any trial runs
-            ("rate", SMALL_RATE, 'zeta={"kind": "bogus"}', "/zeta"),
-            ("rate", dict(SMALL_RATE, error_norm="zeta"),
-             'zeta={"kind": "power"}', "/zeta"),
+            # a field the command does not read is refused, at the top
+            # level, in problem, in lambda_rule and in its params
+            ("rate", SMALL_RATE, "trials_per_n=5", "/trials_per_n"),
+            ("rate", SMALL_RATE, 'zeta={"kind": "power", "exponent": 0.5}',
+             "/zeta"),
+            ("effdim", SMALL_EFFDIM, "fit_lo=1e-3", "/fit_lo"),
+            ("filters-check", {}, "seed=1", "/seed"),
+            ("bounds", SMALL_BOUNDS, "problem.dd=3", "/problem/dd"),
+            ("distance", {"problem": SMALL_BOUNDS["problem"],
+                          "R_values": [0.5]},
+             "problem.a=[1.0, 0.5]", "/problem/a"),
+            ("rate", SMALL_RATE, "lambda_rule.parms={}",
+             "/lambda_rule/parms"),
+            ("rate", SMALL_RATE, "lambda_rule.params.cse=regular",
+             "/lambda_rule/params/cse"),
+            # rate gates the h norm only, the norm its exponent bounds
+            ("rate", SMALL_RATE, "error_norm=prediction", "/error_norm"),
+            # zeta is read as an index function, and it and XI_S's t^s
+            # must pass the coverage check at every cell, before any
+            # trial runs and whether or not the run reads them
             ("bounds", SMALL_BOUNDS, 'zeta={"kind": "power", "exponent": -1}',
-             "/zeta")]:
+             "/zeta"),
+            ("bounds", SMALL_BOUNDS, 'zeta={"kind": "power", "exponent": 2}',
+             "/zeta"),
+            ("bounds", SMALL_BOUNDS, "s_exponent=2", "/s_exponent"),
+            ("bounds", SMALL_BOUNDS, "s_exponent=-1", "/s_exponent"),
+            # range checks
+            ("bounds", SMALL_BOUNDS, "m_values=[]", "/m_values"),
+            ("bounds", SMALL_BOUNDS, "m_values=[0]", "/m_values"),
+            ("rate", SMALL_RATE, "m_grid=[0, 64, 2048]", "/m_grid"),
+            ("decompose", {"kernel": "k2"}, "top=-2", "/top"),
+            ("effdim", SMALL_EFFDIM, "points_per_decade=-5",
+             "/points_per_decade"),
+            ("effdim", dict(SMALL_EFFDIM, expected_b=0.5), "lambda_hi=2",
+             "/lambda_hi"),
+            ("effdim", dict(SMALL_EFFDIM, expected_b=0.5), "b_tolerance=-1",
+             "/b_tolerance"),
+            ("rate", SMALL_RATE, "tolerance=-1", "/tolerance")]:
         cfg = _write(tmp_path, "cfg.json", doc)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out),
@@ -299,27 +327,21 @@ def test_distance_command(tmp_path, capsys):
     assert lines[0] == "R,d_value" and len(lines) == 6
 
 
-def test_distance_on_inline_problem(tmp_path, capsys):
-    cfg = _write(tmp_path, "cfg.json", {"problem": INLINE_PROBLEM,
-                                        "R_values": [0.5, 2.0]})
-    out = tmp_path / "out"
-    assert main(["distance", "--config", cfg, "--out", str(out)]) == 0
-    assert "distance: 2 points" in capsys.readouterr().out
-    header, near, far = (out / "distance.csv").read_text().splitlines()
-    assert header == "R,d_value" and far == "2.0,0.0"
-    R, d_value = near.split(",")
-    assert R == "0.5" and float(d_value) == pytest.approx(0.5, rel=1e-9)
-
-
-def test_inline_problem_with_other_basis_is_config_error(tmp_path, capsys):
-    doc = {"problem": dict(INLINE_PROBLEM, basis="legendre"),
-           "R_values": [0.5]}
-    out = tmp_path / "out"
-    assert main(["distance", "--config", _write(tmp_path, "cfg.json", doc),
-                 "--out", str(out)]) == 65
-    err = capsys.readouterr().err
-    assert "config error at /problem:" in err and "legendre" in err
-    assert not (out / "manifest.json").exists()
+@pytest.mark.parametrize("path", sorted(
+    [*(ROOT / "configs").glob("*.json"),
+     *(ROOT / "perfbench" / "configs").glob("*.json")]),
+    ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_shipped_configs_hold_only_known_fields(path):
+    # a shipped config is named after its command, except the
+    # benchmark's coverage workload, which runs bounds
+    command = "bounds" if path.stem == "coverage" else path.stem.split("_")[0]
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) <= set(FIELDS[command])
+    assert set(doc.get("problem", {})) <= set(PROBLEM_FIELDS)
+    rule = doc.get("lambda_rule", {})
+    assert set(rule) <= set(RULE_FIELDS)
+    assert set(rule.get("params", {})) <= set(
+        RULE_PARAMS.get(rule.get("kind"), ()))
 
 
 def test_filters_check_needs_no_config(tmp_path, capsys):

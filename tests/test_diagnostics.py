@@ -16,13 +16,11 @@ from scalereg import (
     compute_upsilon,
     compute_xi,
     effdim,
-    empirical_cov,
     lambda_balance_effdim,
     make_filter,
     montecarlo_coverage_batch,
     power_fn,
     sample_dataset,
-    xi_from_operator,
 )
 from scalereg.diagnostics import _trial_values
 from scalereg.model import SpectralProblem, gaussian_noise
@@ -103,22 +101,13 @@ def test_compute_functions_reject_bad_lambda():
 
 
 def test_xi_scalar_oracle():
-    prob = _scalar_problem()
-    # T_nu = 1, T_x = 1/3, identity zeta, lam = 1: (1+1)/(1/3+1) = 3/2
-    xi = xi_from_operator(prob, np.array([[1.0 / 3.0]]), 1.0, IDENTITY)
-    assert xi == pytest.approx(1.5, abs=1e-14)
-
-
-def test_xi_uses_the_symmetric_part_of_the_operator():
-    prob = _problem(d=8)
-    tx = empirical_cov(prob, np.linspace(0.05, 0.95, 32))
-    # an upper-triangular perturbation, invisible to a solver reading
-    # only the lower triangle
-    asym = tx + np.triu(np.full_like(tx, 0.01), 1)
-    sym = 0.5 * (asym + asym.T)
-    xi = xi_from_operator(prob, asym, 0.1, IDENTITY)
-    assert xi == xi_from_operator(prob, sym, 0.1, IDENTITY)
-    assert xi != xi_from_operator(prob, tx, 0.1, IDENTITY)
+    # T = I on d = 2; the one design point x = 1/2 is a zero of
+    # e_2 = sqrt(2) cos(pi x), so T_x = diag(1, 0).  Identity zeta,
+    # lam = 1: Xi = max((1+1)/(1+1), (1+1)/(0+1)) = 2
+    prob = SpectralProblem(d=2, a=np.ones(2), l=np.ones(2),
+                           f_true=np.ones(2), noise=gaussian_noise(0.0))
+    xi = compute_xi(prob, np.array([0.5]), 1.0, IDENTITY)
+    assert xi == pytest.approx(2.0, abs=1e-14)
 
 
 def test_xi_rejects_superlinear_zeta():

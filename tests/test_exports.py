@@ -32,6 +32,7 @@ PAPER_QUANTITIES = frozenset({
     "compute_upsilon",
     "compute_xi",
     "distance_bound",
+    "empirical_cov",
     "r_of_lambda",
 })
 

@@ -93,14 +93,19 @@ def test_config_validation():
         _small_config(m_grid=(256, 512, 1024))  # barely one decade
     with pytest.raises(ValueError, match="m_grid"):
         _small_config(m_grid=(512, 256, 1024, 2048, 8192, 16384))
+    with pytest.raises(ValueError, match="m_grid"):
+        _small_config(m_grid=(0, 64, 2048))
     with pytest.raises(ValueError, match="trials"):
         _small_config(trials_per_m=5)
-    with pytest.raises(ValueError, match="error_norm"):
-        _small_config(error_norm="l1")
+    # the theoretical exponent bounds the h norm, so no other norm is
+    # gated against it
+    for norm in ("l1", "prediction", "zeta"):
+        with pytest.raises(ValueError, match="error_norm"):
+            _small_config(error_norm=norm)
     with pytest.raises(ValueError, match="case"):
         _small_config(case="mixed")
-    with pytest.raises(ValueError, match="zeta"):
-        _small_config(error_norm="zeta")
+    with pytest.raises(ValueError, match="tolerance"):
+        _small_config(tolerance=-1.0)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -184,14 +189,6 @@ def test_noiseless_exact_recovery_flags_degenerate():
     assert math.isnan(rep.fitted_exponent)
     doc = rep.to_dict()
     assert doc["degenerate"] is True and doc["pass"] is False
-
-
-def test_prediction_norm_runs():
-    cfg = _small_config(error_norm="prediction",
-                        m_grid=(64, 128, 256, 512, 1024, 2048),
-                        trials_per_m=10)
-    rep = run_rate_experiment(cfg)
-    assert np.isfinite(rep.fitted_exponent)
 
 
 def test_rate_improves_with_source_smoothness():

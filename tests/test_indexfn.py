@@ -9,7 +9,7 @@ from scalereg import (
     check_sublinear,
     power_fn,
 )
-from scalereg.indexfn import from_config, to_config
+from scalereg.indexfn import from_config
 
 
 def test_power_values():
@@ -88,11 +88,17 @@ def test_check_index_function_rejects_decreasing():
     max_leaves=4,
 ))
 @settings(max_examples=50, deadline=None)
-def test_config_round_trip(cfg):
-    phi = from_config(cfg)
-    again = from_config(to_config(phi))
+def test_from_config_builds_the_documented_function(cfg):
+    def documented(c, t):
+        if c["kind"] == "power":
+            return t ** c["exponent"]
+        if c["kind"] == "log":
+            return t ** c["p"] * np.log(np.e + 1.0 / t) ** -c["nu"]
+        return documented(c["left"], t) * documented(c["right"], t)
+
     t = np.geomspace(1e-8, 1.0, 64)
-    np.testing.assert_array_equal(phi(t), again(t))
+    np.testing.assert_allclose(from_config(cfg)(t), documented(cfg, t),
+                               rtol=1e-12, atol=0.0)
 
 
 def test_from_config_rejects_garbage():

@@ -349,14 +349,10 @@ def test_error_norms():
                                R_dagger=1.0, d=3, sigma=0.0)
     est = sampling.Estimate(f_hat=prob.f_true + np.array([0.1, 0.0, -0.2]),
                             u_hat=np.zeros(3))
-    out = errors(prob, est, zeta=None)
+    out = errors(prob, est)
+    assert set(out) == {"h_norm", "prediction_norm"}
     assert out["h_norm"] == pytest.approx(np.sqrt(0.01 + 0.04))
     want_pred = np.linalg.norm(prob.a * np.array([0.1, 0.0, -0.2]))
     assert out["prediction_norm"] == pytest.approx(want_pred)
-    from scalereg import power_fn
-    out2 = errors(prob, est, zeta=power_fn(0.5))
-    wts = np.sqrt(prob.t) * prob.l
-    want_zeta = np.linalg.norm(wts * np.array([0.1, 0.0, -0.2]))
-    assert out2["zeta_norm"] == pytest.approx(want_zeta)
     with pytest.raises(ValueError):
         errors(_problem(d=5), est)
