@@ -24,8 +24,8 @@ from .harness import (ExperimentConfig, PowerProblemSpec, RateReport,
 from .indexfn import (IndexFunction, check_index_function, check_sublinear,
                       power_fn)
 from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
-                           lambda_balance_general, lambda_phi_inverse,
-                           lambda_power_table, theoretical_exponent)
+                           lambda_balance_general, lambda_power_table,
+                           theoretical_exponent)
 from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
                      midpoint_grid)
 from .model import (CASES, NoiseModel, SmoothnessSpec, SpectralProblem,

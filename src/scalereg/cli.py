@@ -3,14 +3,15 @@
     scalereg COMMAND [--config PATH] [--out DIR] [--seed N]
                      [--set key=value]...
 
-Commands: rate, effdim, bounds, distance, filters-check, decompose.
-Configs are JSON; --set overrides a (dotted) config key.  Each command
-reads the fields of its list in ``FIELDS`` (a ``problem`` those of
-``PROBLEM_FIELDS``, a ``lambda_rule`` those of ``RULE_FIELDS`` and
-its ``params`` those of ``RULE_PARAMS``) and refuses any other.  Trials run serially, and a seed (--seed or the
-config's "seed") is a non-negative integer.  Exit codes:
-0 pass, 2 acceptance failure, 1 runtime error, 64 usage error, 65
-malformed config (the message carries a JSON pointer to the field).
+Configs are JSON; --set overrides a (dotted) config key.  ``COMMANDS``
+maps each command to its config schema, a ``Group`` with one ``Field``
+per key, and to its run function.  ``main`` reads the whole document
+against the schema, refusing any key that it does not name, before it
+creates --out, so the run function receives typed values only.  Trials
+run serially, and a seed (--seed or the config's "seed") is a
+non-negative integer.  Exit codes: 0 pass, 2 acceptance failure,
+1 runtime error, 64 usage error, 65 malformed config (the message
+carries a JSON pointer to the field).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,24 +44,6 @@ from .svgplot import write_loglog_svg
 
 EX_OK, EX_ERROR, EX_FAIL, EX_USAGE, EX_CONFIG = 0, 1, 2, 64, 65
 
-# the config fields each command reads; any other key is a config error
-FIELDS = {
-    "rate": ("seed", "problem", "filter", "lambda_rule", "m_grid",
-             "trials_per_m", "error_norm", "case", "tolerance"),
-    "effdim": ("seed", "spectrum", "problem", "lambda_lo", "lambda_hi",
-               "points_per_decade", "expected_b", "b_tolerance"),
-    "bounds": ("seed", "problem", "quantities", "etas", "m_values", "trials",
-               "lambda_rule", "s_exponent", "zeta"),
-    "distance": ("seed", "problem", "R_values", "q"),
-    "filters-check": (),
-    "decompose": ("seed", "kernel", "grid_n", "top"),
-}
-PROBLEM_FIELDS = ("s", "a_link", "r", "q", "R_dagger", "sigma", "v_pattern",
-                  "d")
-RULE_FIELDS = ("kind", "params")
-# the params each lambda-rule kind reads; the other kinds read none
-RULE_PARAMS = {"fixed": ("value",), "power_table": ("case",)}
-
 _USAGE = """\
 usage: scalereg COMMAND [--config PATH] [--out DIR] [--seed N]
                         [--set key=value]...
@@ -73,8 +57,6 @@ commands:
   decompose      quadrature eigendecomposition of a reference kernel
                  (kernel k2 reads the source formula 'xt' as x*x')
 """
-
-_MISSING = object()
 
 
 class ConfigError(Exception):
@@ -94,180 +76,229 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _strict_int(val) -> int:
+def _integer(val) -> int:
     """A JSON integer, or a float with an integral value, as an int.
-
-    Everything else, true/false and 1.5 included, raises ValueError:
-    truncating would run with a value the config did not ask for.
-    """
+    true/false and 1.5 are refused: truncating would run with a value
+    the config did not ask for."""
     if isinstance(val, float) and val.is_integer():
         return int(val)
     if isinstance(val, int) and not isinstance(val, bool):
         return val
-    raise ValueError(f"not an integer: {val!r}")
+    raise ValueError
 
 
-def _strict_float(val) -> float:
-    """A finite JSON number as a float.
-
-    true/false, strings ("2" and "nan" included) and nan/inf raise
-    ValueError; an integer beyond the float range raises OverflowError.
-    """
+def _number(val) -> float:
+    """A finite JSON number as a float.  true/false, strings ("2" and
+    "nan" included) and nan/inf are refused; an integer beyond the
+    float range raises OverflowError."""
     if (isinstance(val, (int, float)) and not isinstance(val, bool)
             and math.isfinite(val)):
         return float(val)
-    raise ValueError(f"not a finite number: {val!r}")
+    raise ValueError
 
 
-def _strict_str(val) -> str:
+def _string(val) -> str:
     if isinstance(val, str):
         return val
-    raise ValueError(f"not a string: {val!r}")
+    raise ValueError
 
 
-_READERS = {int: _strict_int, float: _strict_float, str: _strict_str}
+def _list_of(read):
+    """A reader of a nonempty JSON list whose entries ``read`` reads."""
+    def read_list(val) -> list:
+        if not isinstance(val, list) or not val:
+            raise ValueError
+        return [read(v) for v in val]
+    read_list.what = f"nonempty list of {read.what}s"
+    return read_list
 
 
-def _get(doc, key, ptr, cast=None, default=_MISSING, choices=None):
-    if not isinstance(doc, dict):
-        raise ConfigError(ptr, "expected an object")
-    if key not in doc:
-        if default is _MISSING:
-            raise ConfigError(f"{ptr}/{key}", "missing required field")
-        return default
-    val = doc[key]
-    if cast is not None:
+# what a reader reads, in messages and in the README's field table
+_integer.what, _number.what, _string.what = "integer", "number", "string"
+REQUIRED = object()
+
+
+def _ge(lo):
+    """The range ``>= lo`` as a Field's (need, check)."""
+    return f">= {lo}", lambda x: x >= lo
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config key: ``read`` is a reader above or a ``Group``;
+    ``default`` is REQUIRED, None (the key may be left out, and then has
+    no value) or a JSON value, read like a given one; ``check`` tests
+    the read value and ``need`` says what it asks; ``choices`` are the
+    allowed values (of each entry of a list)."""
+
+    read: object
+    default: object = REQUIRED
+    need: str = ""
+    check: object = None
+    choices: tuple = ()
+
+    def value(self, node: dict, key: str, ptr: str):
+        ptr = f"{ptr}/{key}"
+        raw = node.get(key, self.default)
+        if raw is REQUIRED:
+            raise ConfigError(ptr, "missing required field")
         try:
-            val = _READERS[cast](val)
+            val = (self.read.value(raw, ptr) if isinstance(self.read, Group)
+                   else self.read(raw))
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{ptr}/{key}",
-                              f"cannot interpret {val!r} as {cast.__name__}")
-    if choices is not None and val not in choices:
-        raise ConfigError(f"{ptr}/{key}",
-                          f"must be one of {tuple(choices)}, got {val!r}")
-    return val
+            raise ConfigError(ptr, f"got {raw!r}, need {self.read.what}")
+        for item in val if isinstance(val, list) else [val]:
+            if self.choices and item not in self.choices:
+                raise ConfigError(ptr, f"got {item!r}, need one of "
+                                  f"{self.choices}")
+        if self.check is not None and not self.check(val):
+            raise ConfigError(ptr, f"got {raw!r}, need {self.need}")
+        return val
 
 
-def _float_list(doc, key, ptr, default=_MISSING):
-    raw = _get(doc, key, ptr, default=default)
-    if raw is default and default is not _MISSING:
-        return default
-    try:
-        vals = [_strict_float(v) for v in raw]
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{ptr}/{key}", "must be a list of numbers")
-    if not vals:
-        raise ConfigError(f"{ptr}/{key}", "must be nonempty")
+@dataclass(frozen=True)
+class Group:
+    """A JSON object with the keys ``fields``, plus the ``variants``
+    entry named by its ``kind`` field if it has variants.  Exactly one
+    of the ``one_of`` fields is given.  ``make`` builds the group's
+    value from the dict of the fields that are given or have a default,
+    and a ValueError that it raises is a config error at the group's
+    pointer."""
+
+    fields: dict
+    variants: dict = field(default_factory=dict)
+    one_of: tuple = ()
+    make: object = dict
+    what = "object"
+
+    def value(self, node, ptr: str, **given):
+        """The group's value; ``given`` replaces read fields (the --seed
+        flag replaces the config's seed)."""
+        if not isinstance(node, dict):
+            raise ConfigError(ptr, f"got {node!r}, need object")
+        fields = dict(self.fields)
+        if self.variants:
+            fields.update(self.variants[fields["kind"].value(node, "kind",
+                                                             ptr)])
+        for key in node:
+            if key not in fields:
+                raise ConfigError(f"{ptr}/{key}", "unknown field (known: "
+                                  f"{', '.join(fields) or 'none'})")
+        if self.one_of and sum(key in node for key in self.one_of) != 1:
+            raise ConfigError(f"{ptr}/{self.one_of[-1]}", "need exactly one "
+                              f"of {' and '.join(self.one_of)}")
+        vals = {key: f.value(node, key, ptr) for key, f in fields.items()
+                if key in node or f.default is not None}
+        vals.update(given)
+        try:
+            return self.make(vals)
+        except ValueError as exc:
+            raise ConfigError(ptr, str(exc))
+
+
+# ------------------------------------------------- the shared objects
+
+PROBLEM = Group({
+    "s": Field(_number), "a_link": Field(_number), "r": Field(_number),
+    "q": Field(_number), "R_dagger": Field(_number, PowerProblemSpec.R_dagger),
+    "sigma": Field(_number, PowerProblemSpec.sigma),
+    "v_pattern": Field(_string, PowerProblemSpec.v_pattern),
+    "d": Field(_integer, None)},
+    make=lambda v: PowerProblemSpec(d_override=v.pop("d", None), **v))
+
+
+def _params(**fields) -> dict:
+    """The ``params`` object of one lambda-rule kind."""
+    return {"params": Field(Group(fields), {})}
+
+
+RULE = Group(
+    {"kind": Field(_string, choices=RULE_NAMES)},
+    variants={"balance_effdim": _params(), "balance_general": _params(),
+              "power_table": _params(case=Field(_string, None,
+                                                choices=CASES)),
+              "fixed": _params(value=Field(_number, REQUIRED, "in (0, 1]",
+                                           lambda x: 0 < x <= 1))},
+    make=lambda v: LambdaRule(v["kind"], v["params"]))
+
+# an index function, read strictly and then built by indexfn.from_config
+INDEX_FN = Group(
+    {"kind": Field(_string, choices=("power", "log", "product"))},
+    variants={"power": {"exponent": Field(_number)},
+              "log": {"p": Field(_number), "nu": Field(_number, 0.0)},
+              "product": {}},
+    make=indexfn_from_config)
+INDEX_FN.variants["product"].update(left=Field(INDEX_FN),
+                                    right=Field(INDEX_FN))
+
+
+# ------------- checks across fields, before --out is created
+
+def _concrete(spec: PowerProblemSpec, seed: int):
+    """The SpectralProblem of a power spec with an explicit d."""
+    if spec.d_override is None:
+        raise ConfigError("/problem/d", "missing required field (this "
+                          "command needs a concrete dimension)")
+    return spec.build(1, seed)
+
+
+def _experiment(vals: dict) -> ExperimentConfig:
+    rule = vals.get("lambda_rule")
+    if rule and rule.params.get("case", vals["case"]) != vals["case"]:
+        raise ConfigError("/case", f"{vals['case']!r} differs from "
+                          f"lambda_rule params.case {rule.params['case']!r}")
+    return ExperimentConfig(filter_id=vals.pop("filter"), **vals)
+
+
+def _effdim(vals: dict) -> dict:
+    if "problem" in vals:
+        vals["spectrum"] = _concrete(vals.pop("problem"), vals["seed"]).t
+    lo, hi = vals["lambda_lo"], vals["lambda_hi"]
+    if not lo < hi:
+        raise ConfigError("/lambda_lo", "need lambda_lo < lambda_hi")
+    # the decay exponent is fitted over [lambda_lo, lambda_hi] if and
+    # only if the config expects one
+    if "expected_b" in vals:
+        if hi > 1:
+            raise ConfigError("/lambda_hi", "fitting expected_b needs "
+                              f"lambda_hi <= 1, got {hi!r}")
+        try:
+            vals["b_hat"] = fit_effdim_exponent(vals["spectrum"], lo,
+                                                hi)["b_hat"]
+        except ValueError as exc:   # N(lambda_lo) >= d/2
+            raise ConfigError("/lambda_lo", str(exc))
     return vals
 
 
-def _refuse_unknown(doc: dict, fields, ptr: str) -> None:
-    for key in doc:
-        if key not in fields:
-            raise ConfigError(f"{ptr}/{key}", "unknown field (known: "
-                              f"{', '.join(fields) or 'none'})")
-
-
-def _lambda_rule_from(doc, ptr) -> LambdaRule:
-    kind = _get(doc, "kind", ptr, cast=str, choices=RULE_NAMES)
-    params = _get(doc, "params", ptr, default={})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{ptr}/params", "must be an object")
-    _refuse_unknown(params, RULE_PARAMS.get(kind, ()), f"{ptr}/params")
-    if kind == "fixed":
-        value = _get(params, "value", f"{ptr}/params", cast=float)
-        if not 0 < value <= 1:
-            raise ConfigError(f"{ptr}/params/value",
-                              f"fixed lambda must be in (0, 1], got {value!r}")
-    elif kind == "power_table":
-        _get(params, "case", f"{ptr}/params", cast=str, default=None,
-             choices=CASES)
-    return LambdaRule(kind, params)
-
-
-def _seed_from(doc, seed) -> int:
-    """The --seed value if given, else the config's "seed" (default 0)."""
-    if seed is not None:
-        return seed
-    seed = _get(doc, "seed", "", cast=int, default=0)
-    if seed < 0:
-        raise ConfigError("/seed", f"must be >= 0, got {seed}")
-    return seed
-
-
-def _present(doc, ptr, **casts) -> dict:
-    """The fields of ``doc`` named in ``casts`` that it holds, each read
-    strictly; a missing one is left out and takes the dataclass default."""
-    return {key: _get(doc, key, ptr, cast=cast)
-            for key, cast in casts.items() if key in doc}
-
-
-def _power_spec_from(doc, ptr) -> PowerProblemSpec:
-    spec = {key: _get(doc, key, ptr, cast=float)
-            for key in ("s", "a_link", "r", "q")}
-    spec.update(_present(doc, ptr, R_dagger=float, sigma=float,
-                         v_pattern=str))
-    if "d" in doc:
-        spec["d_override"] = _get(doc, "d", ptr, cast=int)
+def _bounds(vals: dict) -> dict:
+    rule = vals["lambda_rule"]
+    if rule.kind == "power_table" and "case" not in rule.params:
+        raise ConfigError("/lambda_rule/params/case", "missing required "
+                          "field (bounds has no case of its own)")
+    problem = vals["problem"] = _concrete(vals["problem"], vals["seed"])
     try:
-        return PowerProblemSpec(**spec)
-    except ValueError as exc:
-        raise ConfigError(ptr, str(exc))
-
-
-def _zeta_from(doc):
-    """The config's ``zeta`` as an IndexFunction, or None if absent."""
-    if doc.get("zeta") is None:
-        return None
-    try:
-        return indexfn_from_config(doc["zeta"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("/zeta", str(exc))
-
-
-def _concrete_problem(doc, ptr, seed: int):
-    """The SpectralProblem of a power spec with an explicit d."""
-    spec = _power_spec_from(doc, ptr)
-    if spec.d_override is None:
-        raise ConfigError(f"{ptr}/d", "missing required field (this command "
-                          "needs a concrete dimension)")
-    try:
-        return spec.build(1, seed)
-    except ValueError as exc:
-        raise ConfigError(ptr, str(exc))
-
-
-def _experiment_from_doc(doc, seed: int) -> ExperimentConfig:
-    prob = _power_spec_from(_get(doc, "problem", ""), "/problem")
-    m_grid = _get(doc, "m_grid", "")
-    try:
-        m_grid = tuple(_strict_int(m) for m in m_grid)
-    except (TypeError, ValueError):
-        raise ConfigError("/m_grid", "must be a list of integers")
-    kwargs = _present(doc, "", trials_per_m=int, error_norm=str, case=str,
-                      tolerance=float)
-    if "filter" in doc:
-        kwargs["filter_id"] = _get(doc, "filter", "", cast=str,
-                                   choices=FILTER_NAMES)
-    if "lambda_rule" in doc:
-        kwargs["lambda_rule"] = _lambda_rule_from(doc["lambda_rule"],
-                                                  "/lambda_rule")
-    try:
-        return ExperimentConfig(problem=prob, m_grid=m_grid, seed=seed,
-                                **kwargs)
-    except ValueError as exc:
-        msg = str(exc)
-        for key in ("m_grid", "trials_per_m", "error_norm", "case",
-                    "tolerance"):
-            if key in msg:
-                raise ConfigError(f"/{key}", msg)
-        raise ConfigError("", msg)
+        vals["lams"] = [rule.resolve(problem, m) for m in vals["m_values"]]
+    except ValueError as exc:   # e.g. a power table case the r refutes
+        raise ConfigError("/lambda_rule", str(exc))
+    # XI_S's t^s and XI_ZETA's zeta pass the coverage batch's own check
+    # at every cell, whether or not the run reads them
+    for key, fn in (("s_exponent", {"kind": "power",
+                                    "exponent": vals["s_exponent"]}),
+                    ("zeta", vals.get("zeta"))):
+        try:
+            for lam in vals["lams"]:
+                if fn is not None:
+                    _check_zeta(fn, float(np.max(problem.t)) + lam)
+        except ValueError as exc:
+            raise ConfigError(f"/{key}", str(exc))
+    return vals
 
 
 # ------------------------------------------------------------- commands
+# each takes its schema's value, the document as given (the manifest
+# hashes it) and the output directory
 
-def _cmd_rate(doc, out: Path, seed: int) -> int:
-    cfg = _experiment_from_doc(doc, seed)
+def _cmd_rate(cfg: ExperimentConfig, doc: dict, out: Path) -> int:
     report = run_rate_experiment(cfg)
     write_json(out / "rate_report.json", report.to_dict())
     write_rate_csv(out / "rate_report.csv", report)
@@ -291,100 +322,35 @@ def _cmd_rate(doc, out: Path, seed: int) -> int:
     return EX_OK if report.passed else EX_FAIL
 
 
-def _cmd_effdim(doc, out: Path, seed: int) -> int:
-    if "spectrum" in doc:
-        spectrum = np.asarray(_float_list(doc, "spectrum", ""),
-                              dtype=np.float64)
-        if np.any(spectrum <= 0):
-            raise ConfigError("/spectrum", "entries must be positive")
-    else:
-        problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
-        spectrum = problem.t
-    lo = _get(doc, "lambda_lo", "", cast=float, default=1e-6)
-    hi = _get(doc, "lambda_hi", "", cast=float, default=1.0)
-    ppd = _get(doc, "points_per_decade", "", cast=int, default=40)
-    if not 0 < lo < hi:
-        raise ConfigError("/lambda_lo", "need 0 < lambda_lo < lambda_hi")
-    if ppd < 1:
-        raise ConfigError("/points_per_decade", f"must be >= 1, got {ppd}")
-    # the decay exponent is fitted over [lambda_lo, lambda_hi] if and
-    # only if the config expects one
-    expected_b = _get(doc, "expected_b", "", cast=float, default=None)
-    tol = _get(doc, "b_tolerance", "", cast=float, default=0.05)
-    if tol < 0:
-        raise ConfigError("/b_tolerance", f"must be >= 0, got {tol!r}")
-    if expected_b is not None and hi > 1:
-        raise ConfigError("/lambda_hi", "fitting expected_b needs "
-                          f"lambda_hi <= 1, got {hi!r}")
-    curve = effdim_curve(spectrum, lo, hi, ppd)
+def _cmd_effdim(cfg: dict, doc: dict, out: Path) -> int:
+    lo, hi = cfg["lambda_lo"], cfg["lambda_hi"]
+    curve = effdim_curve(cfg["spectrum"], lo, hi, cfg["points_per_decade"])
     write_curve_csv(out / "effdim.csv", EFFDIM_HEADER, curve.lambdas,
                     curve.values)
-    write_manifest(out / "manifest.json", doc, seed)
+    write_manifest(out / "manifest.json", doc, cfg["seed"])
     msg = (f"effdim: N({lo:g}) = {curve.values[0]:.6g}, "
            f"N({hi:g}) = {curve.values[-1]:.6g}")
-    if expected_b is None:
+    if "expected_b" not in cfg:
         print(msg)
         return EX_OK
-    b_hat = fit_effdim_exponent(spectrum, lo, hi)["b_hat"]
+    b_hat, expected_b = cfg["b_hat"], cfg["expected_b"]
+    tol = cfg["b_tolerance"]
     failed = abs(b_hat - expected_b) > tol
     print(f"{msg}, fitted decay exponent b = {b_hat:.4f} (expected "
           f"{expected_b:g} +- {tol:g}) -> {'FAIL' if failed else 'PASS'}")
     return EX_FAIL if failed else EX_OK
 
 
-def _cmd_bounds(doc, out: Path, seed: int) -> int:
-    problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
-    quantities = _get(doc, "quantities", "",
-                      default=["PSI", "UPSILON", "LAMBDA_Q", "TX_DEV"])
-    for q in quantities:
-        if q not in QUANTITIES:
-            raise ConfigError("/quantities",
-                              f"unknown quantity {q!r}; expected subset of "
-                              f"{QUANTITIES}")
-    etas = _float_list(doc, "etas", "", default=[0.05, 0.1])
-    for eta in etas:
-        if not 0 < eta < 1:
-            raise ConfigError("/etas", "entries must lie in (0, 1)")
-    m_values = _get(doc, "m_values", "")
-    try:
-        m_values = [_strict_int(m) for m in m_values]
-    except (TypeError, ValueError):
-        raise ConfigError("/m_values", "must be a list of integers")
-    if not m_values or min(m_values) < 1:
-        raise ConfigError("/m_values", "must be a nonempty list of sample "
-                          "sizes >= 1")
-    trials = _get(doc, "trials", "", cast=int, default=500)
-    if trials < 100:
-        raise ConfigError("/trials", "need at least 100 trials")
-    rule = _lambda_rule_from(
-        _get(doc, "lambda_rule", "", default={"kind": "balance_effdim"}),
-        "/lambda_rule")
-    if rule.kind == "power_table":
-        # bounds has no case of its own for the table to take
-        _get(rule.params, "case", "/lambda_rule/params")
-    s_exp = _get(doc, "s_exponent", "", cast=float, default=0.5)
-    zeta = _zeta_from(doc)
-    lams = [rule.resolve(problem, m) for m in m_values]
-    # XI_S's t^s and XI_ZETA's zeta pass the coverage batch's own check
-    # at every cell before any trial runs, whether or not the run reads
-    # them
-    for ptr, fn in (("/s_exponent", {"kind": "power", "exponent": s_exp}),
-                    ("/zeta", zeta)):
-        try:
-            for lam in lams:
-                if fn is not None:
-                    _check_zeta(fn, float(np.max(problem.t)) + lam)
-        except ValueError as exc:
-            raise ConfigError(ptr, str(exc))
-
+def _cmd_bounds(cfg: dict, doc: dict, out: Path) -> int:
     reports = []
-    for m, lam in zip(m_values, lams):
+    for m, lam in zip(cfg["m_values"], cfg["lams"]):
         reports.extend(montecarlo_coverage_batch(
-            problem, quantities, lam, m, etas, trials, seed,
-            s=s_exp, zeta=zeta))
+            cfg["problem"], cfg["quantities"], lam, m, cfg["etas"],
+            cfg["trials"], cfg["seed"], s=cfg["s_exponent"],
+            zeta=cfg.get("zeta")))
     write_bounds_csv(out / "bounds.csv", reports)
     write_json(out / "bounds.json", [r.to_dict() for r in reports])
-    write_manifest(out / "manifest.json", doc, seed)
+    write_manifest(out / "manifest.json", doc, cfg["seed"])
     n_pass = sum(r.passed for r in reports)
     worst = min(r.coverage - (1.0 - r.eta) for r in reports)
     print(f"bounds: {n_pass}/{len(reports)} coverage reports passed "
@@ -392,25 +358,19 @@ def _cmd_bounds(doc, out: Path, seed: int) -> int:
     return EX_OK if n_pass == len(reports) else EX_FAIL
 
 
-def _cmd_distance(doc, out: Path, seed: int) -> int:
-    problem = _concrete_problem(_get(doc, "problem", ""), "/problem", seed)
-    Rs = _float_list(doc, "R_values", "")
-    if any(R <= 0 for R in Rs):
-        raise ConfigError("/R_values", "entries must be positive")
-    qv = _get(doc, "q", "", cast=float, default=None)
-    if qv is not None and qv <= 1:
-        raise ConfigError("/q", "needs q > 1")
-    curve = distance_curve(problem, Rs, q=qv)
+def _cmd_distance(cfg: dict, doc: dict, out: Path) -> int:
+    Rs = cfg["R_values"]
+    curve = distance_curve(cfg["problem"], Rs, q=cfg.get("q"))
     write_curve_csv(out / "distance.csv", DISTANCE_HEADER, curve.Rs,
                     curve.values)
-    write_manifest(out / "manifest.json", doc, seed)
+    write_manifest(out / "manifest.json", doc, cfg["seed"])
     print(f"distance: {len(Rs)} points, d({min(Rs):g}) = "
           f"{curve.values[int(np.argmin(Rs))]:.6g}, d({max(Rs):g}) = "
           f"{curve.values[int(np.argmax(Rs))]:.6g}")
     return EX_OK
 
 
-def _cmd_filters_check(doc, out: Path, seed: int) -> int:
+def _cmd_filters_check(cfg: dict, doc: dict, out: Path) -> int:
     rows, ok = [], True
     for name in FILTER_NAMES:
         filt = make_filter(name)
@@ -451,19 +411,12 @@ def _cmd_filters_check(doc, out: Path, seed: int) -> int:
     return EX_OK if ok else EX_FAIL
 
 
-def _cmd_decompose(doc, out: Path, seed: int) -> int:
-    kernel = _get(doc, "kernel", "", cast=str, default="k2",
-                  choices=("k1", "k2"))
-    grid_n = _get(doc, "grid_n", "", cast=int, default=512)
-    if grid_n < 16:
-        raise ConfigError("/grid_n", "must be >= 16")
-    top = _get(doc, "top", "", cast=int, default=12)
-    if top < 1:
-        raise ConfigError("/top", f"must be >= 1, got {top}")
+def _cmd_decompose(cfg: dict, doc: dict, out: Path) -> int:
+    kernel, grid_n = cfg["kernel"], cfg["grid_n"]
     w, _ = mercer_decompose(kernel, grid_n)
     n_pos = int(np.count_nonzero(w > 0))
     payload = {"kernel": kernel, "grid_n": grid_n,
-               "eigenvalues": [float(v) for v in w[:top]],
+               "eigenvalues": [float(v) for v in w[:cfg["top"]]],
                "n_positive": n_pos}
     if kernel == "k2":
         payload["note"] = K2_NOTE
@@ -471,7 +424,7 @@ def _cmd_decompose(doc, out: Path, seed: int) -> int:
         payload["max_rel_err_top5_vs_exact"] = float(
             np.max(np.abs(w[:5] - ref) / ref))
     write_json(out / "decompose.json", payload)
-    write_manifest(out / "manifest.json", doc, seed)
+    write_manifest(out / "manifest.json", doc, cfg["seed"])
     print(f"decompose: kernel {kernel} on {grid_n} nodes, {n_pos} positive "
           f"modes, top eigenvalue {w[0]:.8g}")
     if kernel == "k2":
@@ -479,11 +432,61 @@ def _cmd_decompose(doc, out: Path, seed: int) -> int:
     return EX_OK
 
 
-_DISPATCH = {"rate": _cmd_rate, "effdim": _cmd_effdim, "bounds": _cmd_bounds,
-             "distance": _cmd_distance, "filters-check": _cmd_filters_check,
-             "decompose": _cmd_decompose}
+SEED = Field(_integer, 0, *_ge(0))
+POSITIVE = ("positive entries", lambda xs: min(xs) > 0)
 
-_NEEDS_CONFIG = {"rate", "effdim", "bounds", "distance", "decompose"}
+# every command: its config schema, each field once, and its run
+COMMANDS = {
+    "rate": (Group({
+        "seed": SEED, "problem": Field(PROBLEM),
+        "filter": Field(_string, ExperimentConfig.filter_id,
+                        choices=FILTER_NAMES),
+        "lambda_rule": Field(RULE, None),
+        "m_grid": Field(_list_of(_integer), REQUIRED, "entries >= 1, "
+                        "strictly increasing over >= 1.5 decades",
+                        lambda ms: ms[0] >= 1 and ms == sorted(set(ms))
+                        and math.log10(ms[-1] / ms[0]) >= 1.5),
+        "trials_per_m": Field(_integer, ExperimentConfig.trials_per_m,
+                              *_ge(10)),
+        "error_norm": Field(_string, ExperimentConfig.error_norm,
+                            choices=("h",)),
+        "case": Field(_string, ExperimentConfig.case, choices=CASES),
+        "tolerance": Field(_number, ExperimentConfig.tolerance, *_ge(0))},
+        make=_experiment), _cmd_rate),
+    "effdim": (Group({
+        "seed": SEED, "spectrum": Field(_list_of(_number), None, *POSITIVE),
+        "problem": Field(PROBLEM, None),
+        "lambda_lo": Field(_number, 1e-6, "> 0", lambda x: x > 0),
+        "lambda_hi": Field(_number, 1.0),
+        "points_per_decade": Field(_integer, 40, *_ge(1)),
+        "expected_b": Field(_number, None),
+        "b_tolerance": Field(_number, 0.05, *_ge(0))},
+        one_of=("spectrum", "problem"), make=_effdim), _cmd_effdim),
+    "bounds": (Group({
+        "seed": SEED, "problem": Field(PROBLEM),
+        "quantities": Field(_list_of(_string),
+                            ["PSI", "UPSILON", "LAMBDA_Q", "TX_DEV"],
+                            choices=QUANTITIES),
+        "etas": Field(_list_of(_number), [0.05, 0.1], "entries in (0, 1)",
+                      lambda es: all(0 < e < 1 for e in es)),
+        "m_values": Field(_list_of(_integer), REQUIRED, "entries >= 1",
+                          lambda ms: min(ms) >= 1),
+        "trials": Field(_integer, 500, *_ge(100)),
+        "lambda_rule": Field(RULE, {"kind": "balance_effdim"}),
+        "s_exponent": Field(_number, 0.5), "zeta": Field(INDEX_FN, None)},
+        make=_bounds), _cmd_bounds),
+    "distance": (Group({
+        "seed": SEED, "problem": Field(PROBLEM),
+        "R_values": Field(_list_of(_number), REQUIRED, *POSITIVE),
+        "q": Field(_number, None, "> 1", lambda q: q > 1)},
+        make=lambda v: dict(v, problem=_concrete(v["problem"], v["seed"]))),
+        _cmd_distance),
+    "filters-check": (Group({}), _cmd_filters_check),
+    "decompose": (Group({
+        "seed": SEED, "kernel": Field(_string, "k2", choices=("k1", "k2")),
+        "grid_n": Field(_integer, 512, *_ge(16)),
+        "top": Field(_integer, 12, *_ge(1))}), _cmd_decompose),
+}
 
 
 def _apply_override(doc: dict, spec: str) -> None:
@@ -510,7 +513,7 @@ def main(argv=None) -> int:
         print(_USAGE, end="")
         return EX_OK if argv else EX_USAGE
     command = argv[0]
-    if command not in FIELDS:
+    if command not in COMMANDS:
         sys.stderr.write(f"unknown command {command!r}\n{_USAGE}")
         return EX_USAGE
 
@@ -526,10 +529,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{exc}\n{_USAGE}")
         return EX_USAGE
 
+    schema, run = COMMANDS[command]
     try:
         if args.seed is not None and args.seed < 0:
             raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-        if command in _NEEDS_CONFIG:
+        doc = {}
+        if schema.fields:
             if args.config is None:
                 raise _UsageError(f"{command} requires --config")
             path = Path(args.config)
@@ -541,19 +546,13 @@ def main(argv=None) -> int:
                 raise ConfigError("/", f"invalid JSON: {exc}")
             if not isinstance(doc, dict):
                 raise ConfigError("/", "top-level config must be an object")
-        else:
-            doc = {}
         for spec in args.overrides:
             _apply_override(doc, spec)
-        _refuse_unknown(doc, FIELDS[command], "")
-        for key, fields in (("problem", PROBLEM_FIELDS),
-                            ("lambda_rule", RULE_FIELDS)):
-            if isinstance(doc.get(key), dict):
-                _refuse_unknown(doc[key], fields, f"/{key}")
-        seed = _seed_from(doc, args.seed)
+        given = {} if args.seed is None else {"seed": args.seed}
+        cfg = schema.value(doc, "", **given)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[command](doc, out, seed)
+        return run(cfg, doc, out)
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n{_USAGE}")
         return EX_USAGE

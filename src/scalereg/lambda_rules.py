@@ -1,11 +1,9 @@
 """A-priori choices of the regularization parameter lambda(m).
 
-Four rules are provided, all returning lambda in (0, 1]:
+Three rules are provided, all returning lambda in (0, 1]:
 
 - balance_effdim:   solve N(lambda) = m * lambda (the balancing
                     equation of the oversmoothing-case analysis).
-- phi_inverse:      closed form m^(-1/(2 a (q-1))) from inverting
-                    phi = rho^(q-1) at 1/sqrt(m).
 - balance_general:  solve theta^2(rho(lambda))/rho^2(lambda) * lambda
                     * m = N(lambda) for power-type theta, rho.
 - power_table:      the closed-form power laws per smoothness regime.
@@ -29,8 +27,7 @@ from .model import CASES, SmoothnessSpec, SpectralProblem
 
 LAMBDA_FLOOR = 1e-14
 
-RULE_NAMES = ("balance_effdim", "phi_inverse", "balance_general",
-              "power_table", "fixed")
+RULE_NAMES = ("balance_effdim", "balance_general", "power_table", "fixed")
 
 
 def _log_bisect(h, lo: float, hi: float, iters: int = 120) -> float:
@@ -70,15 +67,6 @@ def _power_law(m: int, e: float) -> float:
     if m < 1:
         raise ValueError("m must be >= 1")
     return min(max(float(m) ** e, LAMBDA_FLOOR), 1.0)
-
-
-def lambda_phi_inverse(a_link: float, q: float, m: int) -> float:
-    """Closed form lambda = m^(-1/(2 a (q-1)))."""
-    if q <= 1:
-        raise ValueError("phi_inverse needs q > 1")
-    if not 0 < a_link <= 0.5:
-        raise ValueError("a_link must be in (0, 1/2]")
-    return _power_law(m, -1.0 / (2.0 * a_link * (q - 1.0)))
 
 
 def lambda_balance_general(spectrum, spec: SmoothnessSpec,
@@ -192,8 +180,6 @@ class LambdaRule:
         if sm is None:
             raise ValueError(f"rule {self.kind!r} needs a problem with a "
                              "smoothness spec")
-        if self.kind == "phi_inverse":
-            return lambda_phi_inverse(sm.a_link, sm.q, m)
         if self.kind == "balance_general":
             return lambda_balance_general(problem.t, sm, m)
         # a power table without a case is refused, never guessed

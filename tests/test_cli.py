@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,7 @@ from pathlib import Path
 import pytest
 
 import scalereg
-from scalereg.cli import (FIELDS, PROBLEM_FIELDS, RULE_FIELDS, RULE_PARAMS,
-                          main)
+from scalereg.cli import COMMANDS, REQUIRED, Group, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +44,9 @@ SMALL_BOUNDS = {
 
 SMALL_EFFDIM = {"spectrum": [1.0, 0.25, 0.0625, 0.015625],
                 "lambda_lo": 1e-3, "lambda_hi": 0.5}
+
+EFFDIM_DEFAULT = json.loads(
+    (ROOT / "configs" / "effdim_default.json").read_text(encoding="utf-8"))
 
 RATE_AND_BOUNDS = [pytest.param("rate", SMALL_RATE, id="rate"),
                    pytest.param("bounds", SMALL_BOUNDS, id="bounds")]
@@ -94,8 +97,10 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ({"kind": "power_table", "params": {"case": "bogus"}},
              "/lambda_rule/params/case")]:
         cfg = _write(tmp_path, "cfg.json", dict(SMALL_RATE, lambda_rule=rule))
-        assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 65
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 65
         assert f"config error at {pointer}:" in capsys.readouterr().err, rule
+        assert not out.exists(), rule
     # integer fields take integers (or integral floats), never a bool or
     # a truncated fraction
     for command, doc, override, pointer in [
@@ -168,14 +173,42 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
              "/lambda_hi"),
             ("effdim", dict(SMALL_EFFDIM, expected_b=0.5), "b_tolerance=-1",
              "/b_tolerance"),
-            ("rate", SMALL_RATE, "tolerance=-1", "/tolerance")]:
+            ("rate", SMALL_RATE, "tolerance=-1", "/tolerance"),
+            # effdim fits before it writes, and reads spectrum or
+            # problem, never both
+            ("effdim", EFFDIM_DEFAULT, "problem.d=64", "/lambda_lo"),
+            ("effdim", EFFDIM_DEFAULT, "spectrum=[1.0, 0.5, 0.25, 0.125]",
+             "/problem"),
+            # a lambda rule that the problem refutes
+            ("bounds", dict(SMALL_BOUNDS, lambda_rule={"kind": "power_table"}),
+             "lambda_rule.params.case=regular", "/lambda_rule"),
+            # quantities is a nonempty list
+            ("bounds", SMALL_BOUNDS, "quantities=[]", "/quantities"),
+            ("bounds", SMALL_BOUNDS, "quantities=PSI", "/quantities"),
+            # zeta's fields are read strictly, at every depth
+            ("bounds", SMALL_BOUNDS,
+             'zeta={"kind": "power", "exponent": "0.5"}', "/zeta/exponent"),
+            ("bounds", SMALL_BOUNDS,
+             'zeta={"kind": "power", "exponent": true}', "/zeta/exponent"),
+            ("bounds", SMALL_BOUNDS,
+             'zeta={"kind": "power", "exponent": 0.5, "expnt": 3}',
+             "/zeta/expnt"),
+            ("bounds", SMALL_BOUNDS,
+             'zeta={"kind": "product", "left": {"kind": "log", "p": 1,'
+             ' "nu": "2"}, "right": {"kind": "power", "exponent": 0.5}}',
+             "/zeta/left/nu"),
+            # phi_inverse is not a rule kind
+            ("rate", SMALL_RATE, "lambda_rule.kind=phi_inverse",
+             "/lambda_rule/kind")]:
         cfg = _write(tmp_path, "cfg.json", doc)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out),
                      "--set", override]) == 65, override
-        assert f"config error at {pointer}:" in capsys.readouterr().err, \
-            override
-        assert not (out / "manifest.json").exists(), override
+        err = capsys.readouterr().err
+        assert f"config error at {pointer}:" in err, override
+        assert not out.exists(), override
+        if override == "quantities=PSI":
+            assert "need nonempty list of strings" in err
 
 
 @pytest.mark.parametrize("command", ["rate", "bounds"])
@@ -333,15 +366,70 @@ def test_distance_command(tmp_path, capsys):
     ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_shipped_configs_hold_only_known_fields(path):
     # a shipped config is named after its command, except the
-    # benchmark's coverage workload, which runs bounds
+    # benchmark's coverage workload, which runs bounds; its command's
+    # schema reads it whole, unknown keys and ranges included
     command = "bounds" if path.stem == "coverage" else path.stem.split("_")[0]
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert set(doc) <= set(FIELDS[command])
-    assert set(doc.get("problem", {})) <= set(PROBLEM_FIELDS)
-    rule = doc.get("lambda_rule", {})
-    assert set(rule) <= set(RULE_FIELDS)
-    assert set(rule.get("params", {})) <= set(
-        RULE_PARAMS.get(rule.get("kind"), ()))
+    schema, _ = COMMANDS[command]
+    schema.value(json.loads(path.read_text(encoding="utf-8")), "")
+
+
+def _schema_rows():
+    """README cells (in, field) -> (type, default, values) of every
+    field of the schemas.  A named object (problem, lambda_rule, zeta)
+    has rows of its own; a plain one (params) is spelled out in dotted
+    names.  ``values`` is the schema's choices or range."""
+    rows, seen = {}, set()
+    todo = [(f"`{name}`", schema) for name, (schema, _) in COMMANDS.items()]
+
+    def add(label, group, prefix=""):
+        if group.variants:
+            assert set(group.variants) == set(group.fields["kind"].choices)
+        for kind, fields in [(None, group.fields), *group.variants.items()]:
+            where = label + (f" of `{kind}`" if kind else "")
+            for name, f in fields.items():
+                if isinstance(f.read, Group) and f.read.make is dict:
+                    add(where, f.read, f"{prefix}{name}.")
+                    continue
+                if isinstance(f.read, Group) and id(f.read) not in seen:
+                    seen.add(id(f.read))
+                    todo.append((f"`{name}`", f.read))
+                if f.default is REQUIRED:
+                    default = "required"
+                elif name in group.one_of:
+                    default = "one of " + ", ".join(
+                        f"`{key}`" for key in group.one_of)
+                elif f.default is None:
+                    default = "none"
+                else:
+                    default = f"`{json.dumps(f.default)}`"
+                rows[where, f"`{prefix}{name}`"] = (
+                    f.read.what, default, f.choices or f.need)
+
+    while todo:
+        add(*todo.pop(0))
+    return rows
+
+
+def test_readme_field_table_matches_the_schemas():
+    # every row of the README's five-column field table is a field of
+    # the schemas and every field has a row, with its type, its
+    # default, and its choices (in backticks) or its range; where the
+    # schema checks neither, the cell is free text
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            table[cells[0], cells[1]] = tuple(cells[2:])
+    want = _schema_rows()
+    assert set(table) == set(want)
+    for key, (what, default, values) in want.items():
+        assert table[key][:2] == (what, default), key
+        if isinstance(values, tuple):
+            assert tuple(re.findall(r"`([^`]*)`", table[key][2])) == values, \
+                key
+        elif values:
+            assert table[key][2] == values, key
 
 
 def test_filters_check_needs_no_config(tmp_path, capsys):

@@ -10,7 +10,6 @@ from scalereg import (
     effdim,
     lambda_balance_effdim,
     lambda_balance_general,
-    lambda_phi_inverse,
     lambda_power_table,
     theoretical_exponent,
 )
@@ -45,13 +44,6 @@ def test_balance_residual_property(m, decay):
     if lam < 1.0:
         n = effdim(t, lam)
         assert abs(n - m * lam) <= 1e-7 * m * lam
-
-
-def test_phi_inverse_oracle():
-    # lam = m^{-1/(2a(q-1))}: a=1/4, q=4 -> m^{-2/3}
-    assert lambda_phi_inverse(0.25, 4.0, 4096) == pytest.approx(0.00390625)
-    with pytest.raises(ValueError):
-        lambda_phi_inverse(0.25, 1.0, 4096)
 
 
 def test_balance_general_matches_effdim_balance_at_r_one():
@@ -124,8 +116,8 @@ def test_lambda_floor_applies():
 
 
 def test_rule_names_and_resolve():
-    assert set(RULE_NAMES) == {"balance_effdim", "phi_inverse",
-                               "balance_general", "power_table", "fixed"}
+    assert set(RULE_NAMES) == {"balance_effdim", "balance_general",
+                               "power_table", "fixed"}
     prob = build_power_problem(s=1.0, a_link=0.5, r=0.5, q=1.0,
                                R_dagger=1.0, d=64, sigma=0.05)
     fixed = LambdaRule("fixed", {"value": 0.125})
