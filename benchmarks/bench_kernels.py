@@ -1,7 +1,8 @@
 """Time the per-trial numerical kernels of scalereg.
 
 The ``weighted_cosine_table`` rows time the m-by-d design table and the
-``clenshaw_cosine`` rows the forward evaluation of a cosine series.  The
+``cosine_sum`` rows the forward evaluation of a cosine series by
+Gaussian gridding, at the rate workloads' shapes.  The
 ``crossprod`` rows time the O(m*d) moment build of the factored
 phi^T phi, its dense assembly ``toarray()``, and the dense
 ``phi.T @ phi`` on the same table.  The
@@ -24,7 +25,7 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 TABLE_SIZES = [(1024, 128), (4096, 512), (16384, 1024)]
-CLENSHAW_SIZES = [(4096, 64), (4096, 512), (4096, 2048)]
+COSINE_SUM_SIZES = [(512, 2000), (2048, 2000), (4096, 256), (16384, 512)]
 CROSSPROD_SIZES = [(4096, 256), (2048, 2000), (16384, 512)]
 SOLVE_SIZES = [(2048, 2000), (16384, 2000), (16384, 512)]
 REPEATS = 7
@@ -45,7 +46,7 @@ def run():
 
     from scalereg import (LambdaRule, PowerProblemSpec, design_matrix,
                           sample_dataset)
-    from scalereg.model import _clenshaw_cosine
+    from scalereg.model import _cosine_sum
     from scalereg.sampling import (_design_weights, _pcg, _shifted_solve,
                                    _weighted_cosine_table, crossprod)
 
@@ -55,10 +56,10 @@ def run():
         x, w = rng.random(m), rng.standard_normal(d)
         rows.append({"kernel": "weighted_cosine_table", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: _weighted_cosine_table(x, w))})
-    for m, d in CLENSHAW_SIZES:
+    for m, d in COSINE_SUM_SIZES:
         x, coef = rng.random(m), rng.standard_normal(d)
-        rows.append({"kernel": "clenshaw_cosine", "shape": f"{m}x{d}",
-                     "seconds": _best_of(lambda: _clenshaw_cosine(x, coef))})
+        rows.append({"kernel": "cosine_sum", "shape": f"{m}x{d}",
+                     "seconds": _best_of(lambda: _cosine_sum(x, coef))})
     for m, d in CROSSPROD_SIZES:
         w = rng.random(d) + 0.5
         phi = _weighted_cosine_table(rng.random(m), w)

@@ -34,7 +34,7 @@ from .filters import (FILTER_NAMES, check_prop_regularization,
 from .harness import ExperimentConfig, PowerProblemSpec, run_rate_experiment
 from .indexfn import from_config as indexfn_from_config
 from .indexfn import power_fn
-from .lambda_rules import RULE_NAMES, LambdaRule
+from .lambda_rules import RULE_NAMES, LambdaRule, theoretical_exponent
 from .mercer import K2_NOTE, mercer_decompose
 from .model import CASES
 from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
@@ -247,6 +247,12 @@ def _experiment(vals: dict) -> ExperimentConfig:
     if rule and rule.params.get("case", vals["case"]) != vals["case"]:
         raise ConfigError("/case", f"{vals['case']!r} differs from "
                           f"lambda_rule params.case {rule.params['case']!r}")
+    sm = vals["problem"]
+    try:   # e.g. an oversmoothing case on a problem with r > 1
+        theoretical_exponent(sm.a_link, sm.a_link / sm.s, sm.r, sm.q,
+                             vals["case"])
+    except ValueError as exc:
+        raise ConfigError("/case", str(exc))
     return ExperimentConfig(filter_id=vals.pop("filter"), **vals)
 
 

@@ -133,6 +133,11 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("rate", SMALL_RATE, "problem.sigma=-1", "/problem"),
             # the power table's case is the config's case
             ("rate", SMALL_RATE, "case=regular", "/case"),
+            # and the case is one that the problem's r admits
+            ("rate", SMALL_RATE, "problem.r=2", "/case"),
+            ("rate", dict(SMALL_RATE, case="regular", lambda_rule={
+                "kind": "power_table", "params": {"case": "regular"}}),
+             "problem.q=4", "/case"),
             # bounds has no case, so its power table must name one
             ("bounds", SMALL_BOUNDS, "lambda_rule.kind=power_table",
              "/lambda_rule/params/case"),

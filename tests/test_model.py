@@ -5,11 +5,12 @@ from scalereg import (
     NoiseModel,
     SmoothnessSpec,
     build_power_problem,
+    design_matrix,
     forward_eval,
     gaussian_noise,
     hilbert_scale_norm,
 )
-from scalereg.model import _clenshaw_cosine
+from scalereg.model import _cosine_sum
 
 
 def test_power_problem_link_held_with_equality():
@@ -84,7 +85,8 @@ def test_forward_eval_matches_explicit_sum():
                                R_dagger=1.0, d=9, sigma=0.0)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(9)
-    x = np.concatenate(([0.0, 1.0], rng.random(40)))
+    # outside [0, 1] the series is 2-periodic
+    x = np.concatenate(([0.0, 1.0, -0.3, 1.7, 2.0], rng.random(40)))
     want = _basis(9, x) @ (prob.a * f)
     np.testing.assert_allclose(forward_eval(prob, f, x), want, atol=1e-12)
     # a scalar point gives a length-1 vector
@@ -92,26 +94,44 @@ def test_forward_eval_matches_explicit_sum():
                                   forward_eval(prob, f, x[2:3]))
 
 
-def _direct_clenshaw(x, coef):
-    j = np.arange(coef.size)
-    return np.cos(np.outer(np.pi * x, j)) @ coef
+def _direct_cosine_sum(x, c):
+    return np.cos(np.pi * np.outer(x, np.arange(c.size))) @ c
 
 
-def test_clenshaw_matches_direct_sum():
-    rng = np.random.default_rng(11)
-    x = rng.random(333)
-    coef = rng.standard_normal(500)
-    got = _clenshaw_cosine(x, coef)
-    want = _direct_clenshaw(x, coef)
-    # Clenshaw error grows like d*eps on the coefficient scale
-    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(coef).sum())
+@pytest.mark.parametrize("d", [1, 2, 3, 64, 65, 300, 2000, 4000])
+def test_cosine_sum_matches_direct_cos(d):
+    # the fixed width and oversampling of the gridding keep its error
+    # below 1e-12 of the coefficient scale (about 3e-14 measured)
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal(d)
+    points = [rng.random(m) for m in (1, 2, 37, 1000)]
+    for x in points[1:]:
+        x[:2] = 0.0, 1.0
+    # the series is 2-periodic; -1e-300 mod 2 rounds to 2 itself
+    points.append(np.array([-0.3, 1.7, 2.0, -2.5, 3.25, -1e-300]))
+    for x in points:
+        got = _cosine_sum(x, c)
+        assert got.shape == x.shape
+        err = np.abs(got - _direct_cosine_sum(x, c)).max()
+        assert err <= 1e-12 * np.abs(c).sum(), (x.size, err)
 
 
-def test_clenshaw_trivial_sizes():
-    x = np.array([0.25, 0.75])
-    assert np.allclose(_clenshaw_cosine(x, np.array([3.0])), [3.0, 3.0])
-    got = _clenshaw_cosine(x, np.array([1.0, 1.0]))
-    assert np.allclose(got, 1.0 + np.cos(np.pi * x), atol=1e-14)
+@pytest.mark.parametrize("m, d", [(2048, 2000), (4096, 512)])
+def test_forward_eval_agrees_with_design_matrix(m, d):
+    # the data's g and the estimator's design describe the same function,
+    # the sqrt(2) of e_j included
+    prob = build_power_problem(s=0.5, a_link=0.25, r=2.0, q=4.0,
+                               R_dagger=1.0, d=d, sigma=0.05)
+    rng = np.random.default_rng(m + d)
+    x = np.concatenate(([0.0, 1.0], rng.random(m - 2)))
+    phi = design_matrix(prob, x)
+    for f in (prob.f_true, rng.standard_normal(d)):
+        want = phi @ (prob.l * f)
+        err = np.abs(forward_eval(prob, f, x) - want).max()
+        # relative to sum_j |a_j f_j| sup|e_j|; the table's own
+        # recurrence error dominates (about 2e-13 at d = 2000)
+        coef = np.abs(prob.a * f)
+        assert err <= 1e-12 * (coef[0] + np.sqrt(2.0) * coef[1:].sum())
 
 
 def test_hilbert_scale_norm():
