@@ -6,8 +6,9 @@ The entry records what this tree measures and what it was measured on:
 
 - the git SHA, and whether ``src/`` differs from it (``dirty``);
 - the core count, the CPU, the OpenBLAS version and its thread count;
-- per perfbench workload, the untraced median command time ``wall_s``
-  and the traced per-layer self times, as
+- per perfbench workload, the untraced median command time ``wall_s``,
+  the untraced run's ``peak_rss_mb`` and the traced per-layer self
+  times, as
   ``python3 perfbench/run.py --workload all --seed 7 --trace 1`` prints
   them (its ``correct`` flag and any ``# PROBLEM`` line too);
 - the verdict and wall time of acceptance criteria 09, 10 and 11, as
@@ -65,9 +66,10 @@ def perfbench_entry(out: str) -> dict:
         if hit is None:
             continue
         name, metric, value = hit.group(1), hit.group(2), hit.group(3)
-        row = workloads.setdefault(name, {"wall_s": None, "self_s": {}})
-        if metric == "wall_s":
-            row["wall_s"] = float(value)
+        row = workloads.setdefault(name, {"wall_s": None,
+                                          "peak_rss_mb": None, "self_s": {}})
+        if metric in ("wall_s", "peak_rss_mb"):
+            row[metric] = float(value)
         elif metric.endswith(".self_s") and not metric.startswith("serial."):
             row["self_s"][metric[:-len(".self_s")]] = float(value)
     final = json.loads(out.strip().splitlines()[-1])

@@ -31,7 +31,8 @@ from .effdim import effdim_curve, fit_effdim_exponent
 from .filters import (FILTER_NAMES, check_prop_regularization,
                       check_qualification, check_regularization_constants,
                       make_filter)
-from .harness import ExperimentConfig, PowerProblemSpec, run_rate_experiment
+from .harness import (ExperimentConfig, PowerProblemSpec, qualified_filter,
+                      run_rate_experiment)
 from .indexfn import from_config as indexfn_from_config
 from .indexfn import power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule, theoretical_exponent
@@ -253,6 +254,10 @@ def _experiment(vals: dict) -> ExperimentConfig:
                              vals["case"])
     except ValueError as exc:
         raise ConfigError("/case", str(exc))
+    try:
+        qualified_filter(vals["filter"], sm, vals["case"])
+    except ValueError as exc:
+        raise ConfigError("/filter", str(exc))
     return ExperimentConfig(filter_id=vals.pop("filter"), **vals)
 
 

@@ -32,8 +32,8 @@ from .effdim import effdim
 from .filters import FilterFamily, residual_values
 from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
-from .sampling import (Dataset, _clamped_eigh, _design_weights,
-                       _stream, _trial_seeds, crossprod, design_matrix)
+from .sampling import (Dataset, _clamped_eigh, _sample_sums, _stream,
+                       _trial_seeds)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
 
@@ -199,11 +199,12 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
     """(values, eig): the quantities named in ``tags`` for the design x.
 
     ``noise()`` returns the noise vector that PSI weighs (y - g(x), up
-    to sign).  It is called only for PSI, after T_x is built, where the
-    coverage trials have always drawn their noise: the order of the
-    per-trial allocations decides which of two glibc heap layouts (about
-    52 or 57 MB at peak) a long coverage run ends in.  ``noise`` may be
-    None without PSI, and ``lam`` None with TX_DEV alone.
+    to sign).  It is called only for PSI, before T_x is built, because
+    Bx^* of the noise is summed in the same sweep over blocks of points
+    as T_x.  In that order ten runs of perfbench's coverage workload all
+    peaked at 49.4-49.7 MB RSS on a 2-vCPU VM, in one heap layout.
+    ``noise`` may be None without PSI, and ``lam`` None with TX_DEV
+    alone.
     ``zeta_fns`` maps further tags to index functions zeta, each tag
     getting the Xi of its zeta; then ``eig`` is the eigensystem (w, V)
     of T_x, else None.
@@ -211,30 +212,31 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
     if lam is not None and not lam > 0:
         raise ValueError("lambda must be positive")
     x = np.asarray(x, dtype=np.float64)
-    t = problem.t
-    m = x.size
-    phi = design_matrix(problem, x)
-    tx = (crossprod(phi, _design_weights(problem)) / m).toarray()
+    t, l = problem.t, problem.l
+    op, b = _sample_sums(problem, x, noise() if "PSI" in tags else None)
+    tx = op.toarray()
     out = {}
-    dev = np.diag(t) - tx
-    if "TX_DEV" in tags:
-        out["TX_DEV"] = float(np.linalg.norm(dev))
-    if "UPSILON" in tags:
-        out["UPSILON"] = float(np.linalg.norm(
-            dev / np.sqrt(t + lam)[:, None]))
-    if "LAMBDA_Q" in tags:
-        l = problem.l
-        ldev = np.diag(problem.lnu_eigs) - (l[:, None] * tx) * l[None, :]
-        out["LAMBDA_Q"] = float(np.linalg.norm(
-            ldev / np.sqrt(problem.lnu_eigs + lam)[:, None]))
-    if "PSI" in tags:
-        b = phi.T @ noise() / m
+    if b is not None:
         out["PSI"] = float(np.linalg.norm(b / np.sqrt(t + lam)))
     eig = None
     if zeta_fns:
         eig = w, V = _clamped_eigh(tx, problem.kappa_sq)
         for tag, fn in zeta_fns.items():
             out[tag] = _xi_given_eig(w, V, t, lam, fn)
+    # once the eigensystem is taken, (T_x - T)^2 entrywise in place; its
+    # row sums, plain and weighted by l_k^2, give all three
+    # Hilbert-Schmidt norms, since the a-weighted deviation is
+    # diag(l) (T - T_x) diag(l) with L_cov = diag(l^2 t)
+    tx[np.diag_indices_from(tx)] -= t
+    np.square(tx, out=tx)
+    sq, lsq = (tx @ np.column_stack((np.ones_like(l), l * l))).T
+    if "TX_DEV" in tags:
+        out["TX_DEV"] = math.sqrt(sq.sum())
+    if "UPSILON" in tags:
+        out["UPSILON"] = math.sqrt(sq @ (1.0 / (t + lam)))
+    if "LAMBDA_Q" in tags:
+        out["LAMBDA_Q"] = math.sqrt(
+            (l * l * lsq) @ (1.0 / (problem.lnu_eigs + lam)))
     return out, eig
 
 

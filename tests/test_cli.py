@@ -47,6 +47,8 @@ SMALL_EFFDIM = {"spectrum": [1.0, 0.25, 0.0625, 0.015625],
 
 EFFDIM_DEFAULT = json.loads(
     (ROOT / "configs" / "effdim_default.json").read_text(encoding="utf-8"))
+RATE_REGULAR = json.loads(
+    (ROOT / "configs" / "rate_regular.json").read_text(encoding="utf-8"))
 
 RATE_AND_BOUNDS = [pytest.param("rate", SMALL_RATE, id="rate"),
                    pytest.param("bounds", SMALL_BOUNDS, id="bounds")]
@@ -138,6 +140,9 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("rate", dict(SMALL_RATE, case="regular", lambda_rule={
                 "kind": "power_table", "params": {"case": "regular"}}),
              "problem.q=4", "/case"),
+            # and the filter's qualification covers the case's index
+            # function (Tikhonov's 1 against a * q = 2)
+            ("rate", RATE_REGULAR, "problem.q=8", "/filter"),
             # bounds has no case, so its power table must name one
             ("bounds", SMALL_BOUNDS, "lambda_rule.kind=power_table",
              "/lambda_rule/params/case"),
@@ -463,18 +468,17 @@ def test_decompose_command(tmp_path, capsys):
     assert "decompose:" in capsys.readouterr().out
 
 
-def test_runtime_error_maps_to_exit_one(tmp_path, capsys):
-    # power-table rule on a problem whose smoothness the filter cannot
-    # cover: the harness refuses with a ValueError -> exit 1
-    doc = dict(SMALL_RATE,
-               problem={"s": 1.0, "a_link": 0.5, "r": 2.0, "q": 4.0,
-                        "R_dagger": 1.0, "sigma": 0.05, "d": 32},
-               lambda_rule={"kind": "power_table",
-                            "params": {"case": "regular"}},
-               case="regular")
-    cfg = _write(tmp_path, "cfg.json", doc)
+def test_runtime_error_maps_to_exit_one(tmp_path, capsys, monkeypatch):
+    # an exception raised while a valid config runs, after --out exists,
+    # is reported as "error: ..." with exit 1
+    def refuse(config):
+        raise ValueError("refused at run time")
+
+    monkeypatch.setattr(scalereg.cli, "run_rate_experiment", refuse)
+    cfg = _write(tmp_path, "cfg.json", SMALL_RATE)
     assert main(["rate", "--config", cfg, "--out", str(tmp_path / "e")]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert ("error: ValueError: refused at run time"
+            in capsys.readouterr().err)
 
 
 def test_rate_run_imports_no_scipy(tmp_path):

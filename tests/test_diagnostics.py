@@ -16,13 +16,14 @@ from scalereg import (
     compute_upsilon,
     compute_xi,
     effdim,
+    empirical_cov,
     lambda_balance_effdim,
     make_filter,
     montecarlo_coverage_batch,
     power_fn,
     sample_dataset,
 )
-from scalereg.diagnostics import _trial_values
+from scalereg.diagnostics import _design_values, _trial_values
 from scalereg.model import SpectralProblem, gaussian_noise
 from scalereg.sampling import _stream
 
@@ -88,6 +89,37 @@ def test_compute_functions_equal_the_coverage_trial(s, a, d, m):
     np.testing.assert_array_equal(ds.x, x)
     assert compute_psi(prob, ds, lam) == pytest.approx(trial["PSI"],
                                                        rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("with_xi", [False, True], ids=["no_xi", "xi"])
+def test_deviation_norms_match_their_matrix_definitions(with_xi):
+    # TX_DEV, UPSILON and LAMBDA_Q come from one squared buffer; against
+    # the d x d matrices that define them, whether or not an XI quantity
+    # also takes the eigensystem of the same T_x
+    prob = build_power_problem(s=0.5, a_link=0.25, r=1.0, q=2.0,
+                               R_dagger=1.0, d=48, sigma=0.1)
+    x = np.random.default_rng(9).random(300)
+    x[0], x[-1] = 0.0, 1.0
+    lam = 0.02
+    tags = ("TX_DEV", "UPSILON", "LAMBDA_Q")
+    zeta_fns = {"XI_S": power_fn(0.5)} if with_xi else None
+    vals, eig = _design_values(prob, x, None, lam, tags, zeta_fns)
+    tx = empirical_cov(prob, x)
+    t, l, lnu = prob.t, prob.l, prob.lnu_eigs
+    dev = np.diag(t) - tx
+    ldev = np.diag(lnu) - (l[:, None] * tx) * l[None, :]
+    want = {"TX_DEV": np.linalg.norm(dev),
+            "UPSILON": np.linalg.norm(dev / np.sqrt(t + lam)[:, None]),
+            "LAMBDA_Q": np.linalg.norm(ldev / np.sqrt(lnu + lam)[:, None])}
+    for tag in tags:
+        rel = abs(vals[tag] - want[tag]) / want[tag]
+        assert rel <= 1e-13, f"{tag} deviates by {rel}"
+    if with_xi:
+        w, V = eig
+        np.testing.assert_allclose((V * w) @ V.T, tx, rtol=0, atol=1e-13)
+        assert vals["XI_S"] == compute_xi(prob, x, lam, power_fn(0.5))
+    else:
+        assert eig is None
 
 
 def test_compute_functions_reject_bad_lambda():

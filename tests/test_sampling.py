@@ -257,6 +257,51 @@ def test_primal_tikhonov_assembles_no_dense_operator(monkeypatch):
         estimate(prob, ds, filt, lam)
 
 
+@pytest.mark.parametrize("m", [4095, 4096, 4097, 2 * 4096 + 5])
+def test_block_sums_match_the_whole_table(m):
+    # T_x and Phi^T y summed over blocks of _POINT_BLOCK points, with
+    # x = 0 and x = 1 among the points, against the whole-table build;
+    # and the primal estimate against a dense solve on direct cosines
+    d = 96
+    prob = _problem(d=d, sigma=0.1)
+    rng = np.random.default_rng(m)
+    x = rng.random(m)
+    x[0], x[-1] = 0.0, 1.0
+    y = rng.standard_normal(m)
+    w = _design_weights(prob)
+    phi = design_matrix(prob, x)
+    T, b = sampling._sample_sums(prob, x, y)
+    whole = ((crossprod(phi, w) / m).toarray(), phi.T @ y / m)
+    for got, want in zip((T.toarray(), b), whole):
+        rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert rel <= 1e-13, f"relative deviation {rel} at m={m}"
+        if m <= sampling._POINT_BLOCK:
+            assert np.array_equal(got, want)
+    lam = 1e-3
+    est = estimate(prob, Dataset(x=x, y=y), make_filter("tikhonov"), lam)
+    direct = np.cos(np.pi * np.outer(x, np.arange(d))) * w
+    ref = np.linalg.solve(direct.T @ direct / m + lam * np.eye(d),
+                          direct.T @ y / m)
+    rel = np.linalg.norm(est.u_hat - ref) / np.linalg.norm(ref)
+    assert rel <= 1e-10, f"estimate deviates from direct cos by {rel}"
+
+
+def test_primal_estimate_holds_one_block_of_the_table():
+    # the whole 16384 x 512 table is 64 MiB; the block sums hold one
+    # 4096 x 512 table (16 MiB) at a time
+    import tracemalloc
+    prob, ds, lam = _regular_cell(16384, 512, seed=5)
+    filt = make_filter("tikhonov")
+    tracemalloc.start()
+    try:
+        est = estimate(prob, ds, filt, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.cg_steps > 0
+    assert peak < 20 * 2 ** 20, f"estimate peaked at {peak / 2 ** 20:.1f} MiB"
+
+
 def test_midpoint_quadrature_diagonalizes_covariance():
     prob = _problem(d=12, sigma=0.0)
     x = (np.arange(1, 65) - 0.5) / 64.0
