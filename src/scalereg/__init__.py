@@ -19,8 +19,8 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       check_qualification, check_regularization_constants,
                       filter_values, landweber_iterations, make_filter,
                       residual_values)
-from .harness import (ExperimentConfig, PowerProblemSpec, RateReport,
-                      config_hash, run_rate_experiment, truncation_dim)
+from .harness import (ExperimentConfig, RateReport, config_hash,
+                      run_rate_experiment)
 from .indexfn import (IndexFunction, check_index_function, check_sublinear,
                       power_fn)
 from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
@@ -28,9 +28,9 @@ from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
                            theoretical_exponent)
 from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
                      midpoint_grid)
-from .model import (CASES, NoiseModel, SmoothnessSpec, SpectralProblem,
-                    build_power_problem, forward_eval,
-                    gaussian_noise, hilbert_scale_norm)
+from .model import (CASES, NoiseModel, PowerProblemSpec, SpectralProblem,
+                    build_power_problem, forward_eval, hilbert_scale_norm,
+                    truncation_dim)
 from .sampling import (Dataset, Estimate, design_matrix, empirical_cov,
                        errors, estimate, sample_dataset)
 

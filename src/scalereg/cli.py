@@ -31,13 +31,12 @@ from .effdim import effdim_curve, fit_effdim_exponent
 from .filters import (FILTER_NAMES, check_prop_regularization,
                       check_qualification, check_regularization_constants,
                       make_filter)
-from .harness import (ExperimentConfig, PowerProblemSpec, qualified_filter,
-                      run_rate_experiment)
+from .harness import ExperimentConfig, qualified_filter, run_rate_experiment
 from .indexfn import from_config as indexfn_from_config
 from .indexfn import power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule, theoretical_exponent
 from .mercer import K2_NOTE, mercer_decompose
-from .model import CASES
+from .model import CASES, PowerProblemSpec
 from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
                         write_curve_csv, write_json, write_manifest,
                         write_rate_csv)
@@ -250,8 +249,7 @@ def _experiment(vals: dict) -> ExperimentConfig:
                           f"lambda_rule params.case {rule.params['case']!r}")
     sm = vals["problem"]
     try:   # e.g. an oversmoothing case on a problem with r > 1
-        theoretical_exponent(sm.a_link, sm.a_link / sm.s, sm.r, sm.q,
-                             vals["case"])
+        theoretical_exponent(sm.a_link, sm.b, sm.r, sm.q, vals["case"])
     except ValueError as exc:
         raise ConfigError("/case", str(exc))
     try:

@@ -36,6 +36,8 @@ from .sampling import (Dataset, _clamped_eigh, _sample_sums, _stream,
                        _trial_seeds)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
+# the Hilbert-Schmidt norms of T - T_x, plain and weighted
+_DEVIATIONS = ("TX_DEV", "UPSILON", "LAMBDA_Q")
 
 _ENVELOPE_SLACK = 1e-9
 _INTERP_SLACK = 1e-12
@@ -207,14 +209,16 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
     alone.
     ``zeta_fns`` maps further tags to index functions zeta, each tag
     getting the Xi of its zeta; then ``eig`` is the eigensystem (w, V)
-    of T_x, else None.
+    of T_x, else None.  The dense d x d T_x is formed only for a Xi or
+    a Hilbert-Schmidt deviation, and squared only for the latter.
     """
     if lam is not None and not lam > 0:
         raise ValueError("lambda must be positive")
     x = np.asarray(x, dtype=np.float64)
     t, l = problem.t, problem.l
     op, b = _sample_sums(problem, x, noise() if "PSI" in tags else None)
-    tx = op.toarray()
+    deviations = any(tag in tags for tag in _DEVIATIONS)
+    tx = op.toarray() if zeta_fns or deviations else None
     out = {}
     if b is not None:
         out["PSI"] = float(np.linalg.norm(b / np.sqrt(t + lam)))
@@ -223,6 +227,8 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
         eig = w, V = _clamped_eigh(tx, problem.kappa_sq)
         for tag, fn in zeta_fns.items():
             out[tag] = _xi_given_eig(w, V, t, lam, fn)
+    if not deviations:
+        return out, eig
     # once the eigensystem is taken, (T_x - T)^2 entrywise in place; its
     # row sums, plain and weighted by l_k^2, give all three
     # Hilbert-Schmidt norms, since the a-weighted deviation is

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lambda_rules import benchmark_order
-from .model import SmoothnessSpec, SpectralProblem
+from .model import PowerProblemSpec, SpectralProblem
 
 _ROOT_TOL = 1e-12
 _MAX_BISECT = 200
@@ -132,7 +132,7 @@ def distance_bound(theta_r: float, R_dagger: float, R: float) -> float:
     return float(R * (R_dagger / R) ** (1.0 / (1.0 - theta_r)))
 
 
-def r_of_lambda(spec: SmoothnessSpec, lam: float, case: str) -> float:
+def r_of_lambda(spec: PowerProblemSpec, lam: float, case: str) -> float:
     """Balancing radius R(lambda) = R_dagger lambda^(a (r - q_c)), q_c
     the benchmark order of the case (``lambda_rules.benchmark_order``)."""
     if not 0 < lam <= 1:

@@ -20,65 +20,11 @@ import numpy as np
 from .filters import check_covering, make_filter
 from .indexfn import power_fn
 from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
-from .model import (CASES, V_PATTERNS, SmoothnessSpec, SpectralProblem,
-                    _check_truncation, build_power_problem, gaussian_noise)
+from .model import CASES, PowerProblemSpec, SpectralProblem
 from .sampling import _trial_seeds, errors, estimate, sample_dataset
 
 DEFAULT_TOLERANCE = 0.08
 _DEGENERATE_FLOOR = 1e-13
-_D_CAP = 2000
-_D_MIN = 64
-
-
-def truncation_dim(m: int, s: float) -> int:
-    """Series truncation d(m) = min(2000, max(64, 4 ceil(m^(1/2s)))).
-
-    Chosen so the truncation tail stays below the sampling error of the
-    shipped configurations.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return int(min(_D_CAP, max(_D_MIN, 4 * math.ceil(m ** (1.0 / (2.0 * s))))))
-
-
-@dataclass(frozen=True)
-class PowerProblemSpec:
-    """Parameters of the synthetic power-type problem family."""
-
-    s: float
-    a_link: float
-    r: float
-    q: float
-    R_dagger: float = 1.0
-    sigma: float = 0.05
-    v_pattern: str = "constant"
-    d_override: Optional[int] = None
-
-    def __post_init__(self):
-        SmoothnessSpec(r=self.r, a_link=self.a_link, q=self.q,
-                       R_dagger=self.R_dagger, s=self.s)
-        gaussian_noise(self.sigma)
-        if self.d_override is not None:
-            _check_truncation(self.d_override)
-        if self.v_pattern not in V_PATTERNS:
-            raise ValueError(f"v_pattern must be one of {V_PATTERNS}")
-
-    def build(self, m: int, seed: int) -> SpectralProblem:
-        d = (truncation_dim(m, self.s) if self.d_override is None
-             else self.d_override)
-        return build_power_problem(self.s, self.a_link, self.r, self.q,
-                                   self.R_dagger, d, self.sigma,
-                                   v_pattern=self.v_pattern, seed=seed)
-
-    def to_dict(self) -> dict:
-        out = {"s": self.s, "a_link": self.a_link, "r": self.r, "q": self.q,
-               "R_dagger": self.R_dagger, "sigma": self.sigma,
-               "v_pattern": self.v_pattern}
-        if self.d_override is not None:
-            out["d_override"] = self.d_override
-        return out
 
 
 @dataclass(frozen=True)
@@ -208,8 +154,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """
     filt = qualified_filter(config.filter_id, config.problem, config.case)
     sm = config.problem
-    theo = theoretical_exponent(sm.a_link, sm.a_link / sm.s, sm.r, sm.q,
-                                config.case)
+    theo = theoretical_exponent(sm.a_link, sm.b, sm.r, sm.q, config.case)
 
     cells = []
     for m in config.m_grid:

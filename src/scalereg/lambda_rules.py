@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .effdim import effdim
-from .model import CASES, SmoothnessSpec, SpectralProblem
+from .model import CASES, PowerProblemSpec, SpectralProblem
 
 LAMBDA_FLOOR = 1e-14
 
@@ -69,7 +69,7 @@ def _power_law(m: int, e: float) -> float:
     return min(max(float(m) ** e, LAMBDA_FLOOR), 1.0)
 
 
-def lambda_balance_general(spectrum, spec: SmoothnessSpec,
+def lambda_balance_general(spectrum, spec: PowerProblemSpec,
                            m: int) -> float:
     """Root of m * lambda^(2a(r-1)+1) = N(lambda) on (0, 1].
 

@@ -9,13 +9,14 @@ with A e_j = a_j e_j and L e_j = l_j e_j.  Everything downstream -- the
 covariance spectrum t_j = (a_j / l_j)**2, its effective dimension, the
 design matrices of the sampled operators -- derives from the triple
 (a, l, f_true) stored here.  Truncation to d modes makes every operator
-a finite matrix; experiment code picks d large enough that truncation
-bias is negligible against sampling error.
+a finite matrix.  ``PowerProblemSpec`` is the one description of the
+power-type family: its smoothness, its noise, its truth and d(m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -26,6 +27,9 @@ V_PATTERNS = ("constant", "seeded")
 # the two smoothness regimes of the rate analysis
 CASES = ("oversmoothing", "regular")
 
+_D_CAP = 2000
+_D_MIN = 64
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -33,60 +37,104 @@ class NoiseModel:
 
     ``M`` and ``Sigma_const`` are the moment constants reported to the
     concentration bounds.  For Gaussian noise the documented sufficient
-    choice is M = Sigma_const = sigma; they are stored, not derived.
-    When sigma = 0 a positive placeholder of 1.0 keeps the bound
-    formulas well-defined (the bounds are vacuous at sigma = 0).
+    choice is M = Sigma_const = sigma.  When sigma = 0 a positive
+    placeholder of 1.0 keeps the bound formulas well-defined (the bounds
+    are vacuous at sigma = 0).
     """
 
     sigma: float
-    M: float
-    Sigma_const: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be >= 0")
-        if not (self.M > 0 and self.Sigma_const > 0):
-            raise ValueError("M and Sigma_const must be positive")
-        if self.M < self.sigma or self.Sigma_const < self.sigma:
-            raise ValueError("need M >= sigma and Sigma_const >= sigma")
+        object.__setattr__(self, "sigma", float(self.sigma))
+
+    @property
+    def M(self) -> float:
+        return self.sigma if self.sigma > 0 else 1.0
+
+    @property
+    def Sigma_const(self) -> float:
+        return self.M
 
 
-def gaussian_noise(sigma: float) -> NoiseModel:
-    c = sigma if sigma > 0 else 1.0
-    return NoiseModel(sigma=float(sigma), M=c, Sigma_const=c)
+def truncation_dim(m: int, s: float) -> int:
+    """Series truncation d(m) = min(2000, max(64, 4 ceil(m^(1/2s)))).
+
+    Four times the index j at which l_j^2 = j^(2s) reaches m, floored at
+    64 modes and capped at 2000.  It sets the cost of a trial, not a
+    truncation error: both ``v_pattern``s spread the source element over
+    the first d modes, so the truth itself has no tail beyond d and
+    changes with m.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not s > 0:
+        raise ValueError("s must be positive")
+    return int(min(_D_CAP, max(_D_MIN, 4 * math.ceil(m ** (1.0 / (2.0 * s))))))
 
 
 @dataclass(frozen=True)
-class SmoothnessSpec:
-    """Source-condition bookkeeping for problems built from power laws.
+class PowerProblemSpec:
+    """The power-type problem family and its smoothness, checked once.
 
-    r is the source exponent (theta(t) = t**r), a_link the link exponent
-    (rho(t) = t**a_link), q the benchmark exponent, R_dagger the source
-    norm bound and s the scale growth exponent (l_j = j**s).
+    s is the scale growth exponent (l_j = j**s), a_link the link exponent
+    (rho(t) = t**a_link), r the source exponent (theta(t) = t**r), q the
+    benchmark exponent, R_dagger the source norm bound and sigma the
+    noise level, which ``noise`` holds as the problem's ``NoiseModel``.
+    ``v_pattern`` shapes the source element (see
+    ``build_power_problem``); d is ``truncation_dim(m, s)`` unless
+    ``d_override`` fixes it.  A built problem carries the spec of its own
+    d as ``smoothness``.
     """
 
-    r: float
-    a_link: float
-    q: float
-    R_dagger: float
     s: float
+    a_link: float
+    r: float
+    q: float
+    R_dagger: float = 1.0
+    sigma: float = 0.05
+    v_pattern: str = "constant"
+    d_override: Optional[int] = None
+    noise: NoiseModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # written as "not x >= bound" so that NaN is refused
         if not self.r > 0:
             raise ValueError("r must be positive")
         if not 0 < self.a_link <= 0.5:
             raise ValueError("a_link must be in (0, 1/2]")
-        if self.q < 1:
+        if not self.q >= 1:
             raise ValueError("q must be >= 1")
         if not self.R_dagger > 0:
             raise ValueError("R_dagger must be positive")
         if not self.s > 0:
             raise ValueError("s must be positive")
+        object.__setattr__(self, "noise", NoiseModel(self.sigma))
+        if self.d_override is not None and not self.d_override >= 2:
+            raise ValueError("d must be >= 2")
+        if self.v_pattern not in V_PATTERNS:
+            raise ValueError(f"v_pattern must be one of {V_PATTERNS}")
 
     @property
     def b(self) -> float:
         """Effective-dimension decay exponent of the induced spectrum."""
         return self.a_link / self.s
+
+    def build(self, m: int, seed: int) -> SpectralProblem:
+        d = (truncation_dim(m, self.s) if self.d_override is None
+             else self.d_override)
+        return build_power_problem(self.s, self.a_link, self.r, self.q,
+                                   self.R_dagger, d, self.sigma,
+                                   v_pattern=self.v_pattern, seed=seed)
+
+    def to_dict(self) -> dict:
+        out = {"s": self.s, "a_link": self.a_link, "r": self.r, "q": self.q,
+               "R_dagger": self.R_dagger, "sigma": self.sigma,
+               "v_pattern": self.v_pattern}
+        if self.d_override is not None:
+            out["d_override"] = self.d_override
+        return out
 
 
 @dataclass(frozen=True)
@@ -96,7 +144,7 @@ class SpectralProblem:
     l: np.ndarray
     f_true: np.ndarray
     noise: NoiseModel
-    smoothness: Optional[SmoothnessSpec] = None
+    smoothness: Optional[PowerProblemSpec] = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -141,11 +189,6 @@ class SpectralProblem:
         return float(e[0] + 2.0 * e[1:].sum())
 
 
-def _check_truncation(d: int) -> None:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-
-
 def build_power_problem(s: float, a_link: float, r: float, q: float,
                         R_dagger: float, d: int, sigma: float,
                         v_pattern: str = "constant",
@@ -161,25 +204,25 @@ def build_power_problem(s: float, a_link: float, r: float, q: float,
     - "constant": v_j = R_dagger / sqrt(d)
     - "seeded":   standard normal draws rescaled to norm R_dagger
                   (counter-based generator keyed by ``seed``)
+
+    The parameters are checked by the ``PowerProblemSpec`` of this d,
+    which the problem keeps as ``smoothness``.
     """
-    spec = SmoothnessSpec(r=float(r), a_link=float(a_link), q=float(q),
-                          R_dagger=float(R_dagger), s=float(s))
-    _check_truncation(d)
+    spec = PowerProblemSpec(s=s, a_link=a_link, r=r, q=q, R_dagger=R_dagger,
+                            sigma=sigma, v_pattern=v_pattern, d_override=d)
     j = np.arange(1, d + 1, dtype=np.float64)
     l = j ** s
     a = j ** (s * (1.0 - 1.0 / (2.0 * a_link)))
     if v_pattern == "constant":
         v = np.full(d, R_dagger / np.sqrt(d))
-    elif v_pattern == "seeded":
+    else:
         gen = np.random.Generator(np.random.Philox(
             np.random.SeedSequence([int(seed)])))
         v = gen.standard_normal(d)
         v *= R_dagger / np.linalg.norm(v)
-    else:
-        raise ValueError(f"v_pattern must be one of {V_PATTERNS}")
     f_true = l ** (-r) * v
     return SpectralProblem(d=d, a=a, l=l, f_true=f_true,
-                           noise=gaussian_noise(sigma), smoothness=spec)
+                           noise=spec.noise, smoothness=spec)
 
 
 def _cosine_coef(c: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ from importlib import metadata
 
 import numpy as np
 
+from . import __version__
+
 EFFDIM_HEADER = ("lambda", "n_effective")
 DISTANCE_HEADER = ("R", "d_value")
 BOUNDS_HEADER = ("quantity", "lambda", "m", "eta", "trials",
@@ -130,7 +132,7 @@ def manifest(config_doc, seed) -> dict:
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__,
                          "scipy": _pkg_version("scipy"),
-                         "scalereg": _pkg_version("scalereg") or "0.1.0"}}
+                         "scalereg": _pkg_version("scalereg") or __version__}}
 
 
 def write_manifest(path, config_doc, seed) -> None:

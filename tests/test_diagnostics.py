@@ -17,6 +17,7 @@ from scalereg import (
     compute_xi,
     effdim,
     empirical_cov,
+    forward_eval,
     lambda_balance_effdim,
     make_filter,
     montecarlo_coverage_batch,
@@ -24,7 +25,7 @@ from scalereg import (
     sample_dataset,
 )
 from scalereg.diagnostics import _design_values, _trial_values
-from scalereg.model import SpectralProblem, gaussian_noise
+from scalereg.model import NoiseModel, SpectralProblem
 from scalereg.sampling import _stream
 
 IDENTITY = power_fn(1.0)
@@ -38,7 +39,7 @@ def _problem(d=16, sigma=0.05):
 def _scalar_problem(t_val=1.0):
     return SpectralProblem(d=1, a=np.array([np.sqrt(t_val)]),
                            l=np.array([1.0]), f_true=np.array([1.0]),
-                           noise=gaussian_noise(0.0))
+                           noise=NoiseModel(0.0))
 
 
 def test_quantity_names():
@@ -62,11 +63,33 @@ def test_psi_single_mode_value():
     prob = _scalar_problem()
     m, lam, seed = 32, 0.5, 11
     noisy = SpectralProblem(d=1, a=prob.a, l=prob.l,
-                            f_true=prob.f_true, noise=gaussian_noise(0.3))
+                            f_true=prob.f_true, noise=NoiseModel(0.3))
     ds = sample_dataset(noisy, m, seed=seed)
     eps = ds.y - 1.0  # g(x) = 1 for the constant mode
     want = abs(eps.mean()) / np.sqrt(1.0 + lam)
     assert compute_psi(noisy, ds, lam) == pytest.approx(want, rel=1e-12)
+
+
+def test_psi_alone_holds_no_dense_covariance():
+    # PSI needs only Bx^* of the noise: the 1024 x 2000 design table is
+    # 15.6 MiB, the dense 2000 x 2000 T_x another 30.5 MiB
+    import tracemalloc
+    prob = build_power_problem(s=0.5, a_link=0.25, r=2.0, q=4.0,
+                               R_dagger=1.0, d=2000, sigma=0.05)
+    ds = sample_dataset(prob, 1024, seed=3)
+    lam = 0.01
+    tracemalloc.start()
+    try:
+        psi = compute_psi(prob, ds, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, f"compute_psi peaked at {peak / 2 ** 20:.1f} MiB"
+    # the same value as on the route that builds the dense T_x
+    resid = forward_eval(prob, prob.f_true, ds.x) - ds.y
+    both = _design_values(prob, ds.x, lambda: resid, lam,
+                          ("PSI", "TX_DEV"))[0]
+    assert both["PSI"] == psi
 
 
 @pytest.mark.parametrize("s, a, d, m", [(1.0, 0.5, 16, 200),
@@ -137,7 +160,7 @@ def test_xi_scalar_oracle():
     # e_2 = sqrt(2) cos(pi x), so T_x = diag(1, 0).  Identity zeta,
     # lam = 1: Xi = max((1+1)/(1+1), (1+1)/(0+1)) = 2
     prob = SpectralProblem(d=2, a=np.ones(2), l=np.ones(2),
-                           f_true=np.ones(2), noise=gaussian_noise(0.0))
+                           f_true=np.ones(2), noise=NoiseModel(0.0))
     xi = compute_xi(prob, np.array([0.5]), 1.0, IDENTITY)
     assert xi == pytest.approx(2.0, abs=1e-14)
 
@@ -248,7 +271,7 @@ def test_bound_check_report_pass_logic():
 def test_interpolation_hand_example():
     prob = SpectralProblem(d=2, a=np.ones(2),
                            l=np.array([1.0, 2.0]), f_true=np.zeros(2),
-                           noise=gaussian_noise(0.0))
+                           noise=NoiseModel(0.0))
     rec = check_interpolation(prob, np.array([1.0, 1.0]), 0.0, 1.0, 2.0)
     assert rec["pass"]
     assert rec["lhs"] == pytest.approx(np.sqrt(5.0))
@@ -258,7 +281,7 @@ def test_interpolation_hand_example():
 def test_interpolation_exact_on_single_mode():
     prob = SpectralProblem(d=1, a=np.ones(1),
                            l=np.array([3.0]), f_true=np.zeros(1),
-                           noise=gaussian_noise(0.0))
+                           noise=NoiseModel(0.0))
     rec = check_interpolation(prob, np.array([2.0]), -1.0, 0.5, 2.0)
     assert rec["pass"]
     assert rec["lhs"] == pytest.approx(rec["rhs"], rel=1e-12)
@@ -277,7 +300,7 @@ def test_interpolation_random_sweep():
         prob = SpectralProblem(d=d, a=np.ones(d),
                                l=np.sort(rng.random(d) * 4.0 + 0.25),
                                f_true=np.zeros(d),
-                               noise=gaussian_noise(0.0))
+                               noise=NoiseModel(0.0))
         exps = np.sort(rng.uniform(-2.0, 2.0, size=3))
         if exps[0] == exps[1] or exps[1] == exps[2]:
             continue

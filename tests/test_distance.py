@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalereg import (
-    SmoothnessSpec,
+    NoiseModel,
+    PowerProblemSpec,
     SpectralProblem,
     build_power_problem,
     distance_bound,
     distance_curve,
     distance_fn,
     distance_fn_q,
-    gaussian_noise,
     r_of_lambda,
 )
 
@@ -20,7 +20,7 @@ def _toy(l, f):
     l = np.asarray(l, dtype=np.float64)
     return SpectralProblem(d=l.size, a=np.ones(l.size), l=l,
                            f_true=np.asarray(f, dtype=np.float64),
-                           noise=gaussian_noise(0.0))
+                           noise=NoiseModel(0.0))
 
 
 def test_scalar_kkt_oracle():
@@ -132,11 +132,11 @@ def test_distance_bound_degenerates_at_attained_smoothness():
 
 
 def test_r_of_lambda_regimes():
-    spec = SmoothnessSpec(r=0.5, a_link=0.5, q=1.0, R_dagger=2.0, s=1.0)
+    spec = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, R_dagger=2.0)
     # oversmoothing: R(lam) = R_dagger lam^{a(r-1)}
     assert r_of_lambda(spec, 0.04, "oversmoothing") == pytest.approx(
         2.0 * 0.04 ** -0.25)
-    spec2 = SmoothnessSpec(r=2.0, a_link=0.25, q=4.0, R_dagger=1.0, s=0.5)
+    spec2 = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0)
     assert r_of_lambda(spec2, 0.01, "regular") == pytest.approx(
         0.01 ** (0.25 * -2.0))
     with pytest.raises(ValueError):

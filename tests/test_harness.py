@@ -15,7 +15,6 @@ from scalereg import (
     run_rate_experiment,
     sample_dataset,
     theoretical_exponent,
-    truncation_dim,
 )
 from scalereg.harness import _wls_line
 
@@ -31,16 +30,6 @@ def _small_config(**kw):
     kw.setdefault("trials_per_m", 10)
     kw.setdefault("seed", 5)
     return ExperimentConfig(**kw)
-
-
-def test_truncation_dim():
-    assert truncation_dim(256, 1.0) == 64
-    assert truncation_dim(16384, 1.0) == 512
-    assert truncation_dim(256, 0.5) == 1024
-    assert truncation_dim(16384, 0.5) == 2000  # capped
-    assert truncation_dim(2, 2.0) == 64  # floored
-    with pytest.raises(ValueError):
-        truncation_dim(0, 1.0)
 
 
 def test_theoretical_exponents():
@@ -115,22 +104,6 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(c1) == config_hash(c2)
     assert config_hash(c1) != config_hash(c3)
     assert len(config_hash(c1)) == 64
-
-
-def test_problem_spec_build_and_dict():
-    spec = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1)
-    prob = spec.build(1024, seed=0)
-    assert prob.d == truncation_dim(1024, 1.0)
-    spec_d = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1,
-                              d_override=48)
-    assert spec_d.build(10 ** 6, seed=0).d == 48
-    assert spec_d.to_dict()["d_override"] == 48
-    assert "d_override" not in spec.to_dict()
-    # d = 0 is no "no override": it is refused with d = 1 and sigma < 0,
-    # at construction, before any build
-    for kw in ({"d_override": 0}, {"d_override": 1}, {"sigma": -1.0}):
-        with pytest.raises(ValueError, match="d must|sigma"):
-            PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, **kw)
 
 
 def test_case_owns_the_power_table_rule():

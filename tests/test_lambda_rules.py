@@ -14,7 +14,7 @@ from scalereg import (
     theoretical_exponent,
 )
 from scalereg.lambda_rules import LAMBDA_FLOOR
-from scalereg.model import SmoothnessSpec
+from scalereg.model import PowerProblemSpec
 
 
 def test_balance_scalar_oracle():
@@ -48,7 +48,7 @@ def test_balance_residual_property(m, decay):
 
 def test_balance_general_matches_effdim_balance_at_r_one():
     t = np.arange(1, 600, dtype=np.float64) ** -2.0
-    spec = SmoothnessSpec(r=1.0, a_link=0.5, q=1.0, R_dagger=1.0, s=1.0)
+    spec = PowerProblemSpec(s=1.0, a_link=0.5, r=1.0, q=1.0)
     lam_g = lambda_balance_general(t, spec, 5000)
     lam_b = lambda_balance_effdim(t, 5000)
     assert lam_g == pytest.approx(lam_b, rel=1e-9)
@@ -57,7 +57,7 @@ def test_balance_general_matches_effdim_balance_at_r_one():
 def test_balance_general_scalar_oracle():
     # single eigenvalue 1 and exponent 2a(r-1)+1 = 2: 1/(1+lam) = m lam^2,
     # the positive root of m lam^3 + m lam^2 - 1
-    spec = SmoothnessSpec(r=2.0, a_link=0.5, q=2.0, R_dagger=1.0, s=1.0)
+    spec = PowerProblemSpec(s=1.0, a_link=0.5, r=2.0, q=2.0)
     m = 2
     want = [z.real for z in np.roots([m, m, 0.0, -1.0])
             if abs(z.imag) < 1e-12 and z.real > 0]
@@ -139,10 +139,10 @@ def test_rule_names_and_resolve():
 
 
 def test_rules_needing_smoothness_reject_bare_problems():
-    from scalereg import SpectralProblem, gaussian_noise
+    from scalereg import NoiseModel, SpectralProblem
     bare = SpectralProblem(d=3, a=np.ones(3),
                            l=np.arange(1.0, 4.0), f_true=np.zeros(3),
-                           noise=gaussian_noise(0.0))
+                           noise=NoiseModel(0.0))
     with pytest.raises(ValueError):
         LambdaRule("power_table", {"case": "regular"}).resolve(bare, 100)
     assert LambdaRule("balance_effdim", {}).resolve(bare, 100) > 0

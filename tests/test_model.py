@@ -1,14 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from scalereg import (
     NoiseModel,
-    SmoothnessSpec,
+    PowerProblemSpec,
     build_power_problem,
     design_matrix,
     forward_eval,
-    gaussian_noise,
     hilbert_scale_norm,
+    truncation_dim,
 )
 from scalereg.model import _cosine_sum
 
@@ -54,6 +56,55 @@ def test_invalid_power_problem_parameters():
     with pytest.raises(ValueError):
         build_power_problem(s=-1.0, a_link=0.5, r=0.5, q=1.0,
                             R_dagger=1.0, d=4, sigma=0.0)
+    # the spec checks the truncation and the pattern of a direct build
+    with pytest.raises(ValueError, match="d must"):
+        build_power_problem(s=1.0, a_link=0.5, r=0.5, q=1.0,
+                            R_dagger=1.0, d=1, sigma=0.0)
+    with pytest.raises(ValueError, match="v_pattern"):
+        build_power_problem(s=1.0, a_link=0.5, r=0.5, q=1.0, R_dagger=1.0,
+                            d=4, sigma=0.0, v_pattern="alternating")
+
+
+_VALID = dict(s=0.5, a_link=0.25, r=2.0, q=4.0, R_dagger=1.0, sigma=0.05)
+
+
+@pytest.mark.parametrize("name", sorted(_VALID))
+def test_problem_spec_refuses_nan(name):
+    # every check is written so that a NaN fails it
+    PowerProblemSpec(**_VALID)
+    with pytest.raises(ValueError, match=name):
+        PowerProblemSpec(**dict(_VALID, **{name: math.nan}))
+
+
+def test_truncation_dim():
+    assert truncation_dim(256, 1.0) == 64
+    assert truncation_dim(16384, 1.0) == 512
+    assert truncation_dim(256, 0.5) == 1024
+    assert truncation_dim(16384, 0.5) == 2000  # capped
+    assert truncation_dim(2, 2.0) == 64  # floored
+    with pytest.raises(ValueError):
+        truncation_dim(0, 1.0)
+
+
+def test_problem_spec_build_and_dict():
+    spec = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1)
+    prob = spec.build(1024, seed=0)
+    assert prob.d == truncation_dim(1024, 1.0)
+    # the problem keeps the spec of its own d, and its noise
+    assert prob.smoothness == PowerProblemSpec(s=1.0, a_link=0.5, r=0.5,
+                                               q=1.0, sigma=0.1,
+                                               d_override=prob.d)
+    assert prob.noise == spec.noise == NoiseModel(0.1)
+    spec_d = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1,
+                              d_override=48)
+    assert spec_d.build(10 ** 6, seed=0).d == 48
+    assert spec_d.to_dict()["d_override"] == 48
+    assert "d_override" not in spec.to_dict()
+    # d = 0 is no "no override": it is refused with d = 1 and sigma < 0,
+    # at construction, before any build
+    for kw in ({"d_override": 0}, {"d_override": 1}, {"sigma": -1.0}):
+        with pytest.raises(ValueError, match="d must|sigma"):
+            PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, **kw)
 
 
 def test_kappa_sums():
@@ -144,15 +195,16 @@ def test_hilbert_scale_norm():
 
 
 def test_noise_model_constants():
-    nm = gaussian_noise(0.25)
+    nm = NoiseModel(0.25)
     assert (nm.sigma, nm.M, nm.Sigma_const) == (0.25, 0.25, 0.25)
-    silent = gaussian_noise(0.0)
-    assert silent.sigma == 0.0
+    silent = NoiseModel(0)
+    assert silent.sigma == 0.0 and isinstance(silent.sigma, float)
     assert silent.M == 1.0 and silent.Sigma_const == 1.0
-    with pytest.raises(ValueError):
-        NoiseModel(sigma=-0.1, M=1.0, Sigma_const=1.0)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            NoiseModel(bad)
 
 
 def test_smoothness_spec_b_is_link_over_scale():
-    spec = SmoothnessSpec(r=2.0, a_link=0.25, q=4.0, R_dagger=1.0, s=0.5)
+    spec = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0)
     assert spec.b == pytest.approx(0.5)

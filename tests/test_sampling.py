@@ -127,10 +127,10 @@ def test_crossprod_and_gram_match_dense_products():
 
 def _moment_problem(d):
     if d == 1:
-        from scalereg import SpectralProblem, gaussian_noise
+        from scalereg import NoiseModel, SpectralProblem
         return SpectralProblem(d=1, a=np.array([0.7]),
                                l=np.array([1.3]), f_true=np.array([1.0]),
-                               noise=gaussian_noise(0.0))
+                               noise=NoiseModel(0.0))
     return _problem(d=d, sigma=0.0)
 
 
@@ -310,10 +310,10 @@ def test_midpoint_quadrature_diagonalizes_covariance():
 
 
 def test_scalar_estimator_oracle():
-    from scalereg import SpectralProblem, gaussian_noise
+    from scalereg import NoiseModel, SpectralProblem
     prob = SpectralProblem(d=1, a=np.array([1.0]),
                            l=np.array([1.0]), f_true=np.array([1.0]),
-                           noise=gaussian_noise(0.0))
+                           noise=NoiseModel(0.0))
     # single constant mode: y = 1, T_x = 1, tikhonov at lambda = 1
     ds = sample_dataset(prob, 4, seed=0)
     est = estimate(prob, ds, make_filter("tikhonov"), lam=1.0)
