@@ -7,11 +7,12 @@ Configs are JSON; --set overrides a (dotted) config key.  ``COMMANDS``
 maps each command to its config schema, a ``Group`` with one ``Field``
 per key, and to its run function.  ``main`` reads the whole document
 against the schema, refusing any key that it does not name, before it
-creates --out, so the run function receives typed values only.  Trials
-run serially, and a seed (--seed or the config's "seed") is a
-non-negative integer.  Exit codes: 0 pass, 2 acceptance failure,
-1 runtime error, 64 usage error, 65 malformed config (the message
-carries a JSON pointer to the field).
+creates --out, so the run function receives typed values only.  The
+objects that a schema builds check their own values, and a refusal
+names the field it refuses.  Trials run serially, and a seed (--seed
+or the config's "seed") is a non-negative integer.  Exit codes: 0 pass,
+2 acceptance failure, 1 runtime error, 64 usage error, 65 malformed
+config (the message carries a JSON pointer to the field).
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from .effdim import effdim_curve, fit_effdim_exponent
 from .filters import (FILTER_NAMES, check_prop_regularization,
                       check_qualification, check_regularization_constants,
                       make_filter)
-from .harness import ExperimentConfig, qualified_filter, run_rate_experiment
-from .indexfn import from_config as indexfn_from_config
-from .indexfn import power_fn
-from .lambda_rules import RULE_NAMES, LambdaRule, theoretical_exponent
+from .harness import ExperimentConfig, run_rate_experiment
+from .indexfn import IndexFunction, power_fn
+from .lambda_rules import RULE_NAMES, LambdaRule
 from .mercer import K2_NOTE, mercer_decompose
-from .model import CASES, PowerProblemSpec
+from .model import FieldError, PowerProblemSpec
 from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
                         write_curve_csv, write_json, write_manifest,
                         write_rate_csv)
@@ -161,9 +161,9 @@ class Group:
     """A JSON object with the keys ``fields``, plus the ``variants``
     entry named by its ``kind`` field if it has variants.  Exactly one
     of the ``one_of`` fields is given.  ``make`` builds the group's
-    value from the dict of the fields that are given or have a default,
-    and a ValueError that it raises is a config error at the group's
-    pointer."""
+    value from the dict of the fields that are given or have a default.
+    A FieldError that it raises is a config error at the pointer of the
+    field that it names, any other ValueError one at the group's."""
 
     fields: dict
     variants: dict = field(default_factory=dict)
@@ -192,6 +192,8 @@ class Group:
         vals.update(given)
         try:
             return self.make(vals)
+        except FieldError as exc:
+            raise ConfigError(f"{ptr}/{exc.field}", str(exc))
         except ValueError as exc:
             raise ConfigError(ptr, str(exc))
 
@@ -215,19 +217,16 @@ def _params(**fields) -> dict:
 RULE = Group(
     {"kind": Field(_string, choices=RULE_NAMES)},
     variants={"balance_effdim": _params(), "balance_general": _params(),
-              "power_table": _params(case=Field(_string, None,
-                                                choices=CASES)),
-              "fixed": _params(value=Field(_number, REQUIRED, "in (0, 1]",
-                                           lambda x: 0 < x <= 1))},
+              "power_table": _params(case=Field(_string, None)),
+              "fixed": _params(value=Field(_number))},
     make=lambda v: LambdaRule(v["kind"], v["params"]))
 
-# an index function, read strictly and then built by indexfn.from_config
 INDEX_FN = Group(
     {"kind": Field(_string, choices=("power", "log", "product"))},
     variants={"power": {"exponent": Field(_number)},
               "log": {"p": Field(_number), "nu": Field(_number, 0.0)},
               "product": {}},
-    make=indexfn_from_config)
+    make=lambda v: IndexFunction(**v))
 INDEX_FN.variants["product"].update(left=Field(INDEX_FN),
                                     right=Field(INDEX_FN))
 
@@ -240,23 +239,6 @@ def _concrete(spec: PowerProblemSpec, seed: int):
         raise ConfigError("/problem/d", "missing required field (this "
                           "command needs a concrete dimension)")
     return spec.build(1, seed)
-
-
-def _experiment(vals: dict) -> ExperimentConfig:
-    rule = vals.get("lambda_rule")
-    if rule and rule.params.get("case", vals["case"]) != vals["case"]:
-        raise ConfigError("/case", f"{vals['case']!r} differs from "
-                          f"lambda_rule params.case {rule.params['case']!r}")
-    sm = vals["problem"]
-    try:   # e.g. an oversmoothing case on a problem with r > 1
-        theoretical_exponent(sm.a_link, sm.b, sm.r, sm.q, vals["case"])
-    except ValueError as exc:
-        raise ConfigError("/case", str(exc))
-    try:
-        qualified_filter(vals["filter"], sm, vals["case"])
-    except ValueError as exc:
-        raise ConfigError("/filter", str(exc))
-    return ExperimentConfig(filter_id=vals.pop("filter"), **vals)
 
 
 def _effdim(vals: dict) -> dict:
@@ -291,10 +273,10 @@ def _bounds(vals: dict) -> dict:
         raise ConfigError("/lambda_rule", str(exc))
     # XI_S's t^s and XI_ZETA's zeta pass the coverage batch's own check
     # at every cell, whether or not the run reads them
-    for key, fn in (("s_exponent", {"kind": "power",
-                                    "exponent": vals["s_exponent"]}),
-                    ("zeta", vals.get("zeta"))):
+    for key in ("s_exponent", "zeta"):
         try:
+            fn = (power_fn(vals[key]) if key == "s_exponent"
+                  else vals.get(key))
             for lam in vals["lams"]:
                 if fn is not None:
                     _check_zeta(fn, float(np.max(problem.t)) + lam)
@@ -448,20 +430,15 @@ POSITIVE = ("positive entries", lambda xs: min(xs) > 0)
 COMMANDS = {
     "rate": (Group({
         "seed": SEED, "problem": Field(PROBLEM),
-        "filter": Field(_string, ExperimentConfig.filter_id,
-                        choices=FILTER_NAMES),
+        "filter": Field(_string, ExperimentConfig.filter_id),
         "lambda_rule": Field(RULE, None),
-        "m_grid": Field(_list_of(_integer), REQUIRED, "entries >= 1, "
-                        "strictly increasing over >= 1.5 decades",
-                        lambda ms: ms[0] >= 1 and ms == sorted(set(ms))
-                        and math.log10(ms[-1] / ms[0]) >= 1.5),
-        "trials_per_m": Field(_integer, ExperimentConfig.trials_per_m,
-                              *_ge(10)),
-        "error_norm": Field(_string, ExperimentConfig.error_norm,
-                            choices=("h",)),
-        "case": Field(_string, ExperimentConfig.case, choices=CASES),
-        "tolerance": Field(_number, ExperimentConfig.tolerance, *_ge(0))},
-        make=_experiment), _cmd_rate),
+        "m_grid": Field(_list_of(_integer)),
+        "trials_per_m": Field(_integer, ExperimentConfig.trials_per_m),
+        "error_norm": Field(_string, ExperimentConfig.error_norm),
+        "case": Field(_string, ExperimentConfig.case),
+        "tolerance": Field(_number, ExperimentConfig.tolerance)},
+        make=lambda v: ExperimentConfig(filter_id=v.pop("filter"), **v)),
+        _cmd_rate),
     "effdim": (Group({
         "seed": SEED, "spectrum": Field(_list_of(_number), None, *POSITIVE),
         "problem": Field(PROBLEM, None),

@@ -30,7 +30,7 @@ import numpy as np
 
 from .effdim import effdim
 from .filters import FilterFamily, residual_values
-from .indexfn import IndexFunction, check_sublinear, from_config, power_fn
+from .indexfn import IndexFunction, check_sublinear, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
 from .sampling import (Dataset, _clamped_eigh, _sample_sums, _stream,
                        _trial_seeds)
@@ -107,7 +107,6 @@ def compute_lambda_q(problem: SpectralProblem, x, lam: float) -> float:
 
 
 def _check_zeta(zeta: IndexFunction, t_max: float) -> IndexFunction:
-    zeta = from_config(zeta)
     grid = np.geomspace(t_max * 1e-12, t_max, 512)
     vals = np.asarray(zeta(grid))
     if np.any(np.diff(vals) < 0):

@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .model import FieldError
+
 
 @dataclass(frozen=True)
 class IndexFunction:
@@ -33,15 +35,23 @@ class IndexFunction:
     def __post_init__(self):
         if self.kind == "power":
             if not self.exponent > 0:
-                raise ValueError("power index function needs exponent > 0")
+                raise FieldError("exponent",
+                                 "power index function needs exponent > 0")
         elif self.kind == "log":
-            if not self.p > 0 or self.nu < 0:
-                raise ValueError("log index function needs p > 0, nu >= 0")
+            if not self.p > 0:
+                raise FieldError("p", "log index function needs p > 0")
+            if not self.nu >= 0:
+                raise FieldError("nu", "log index function needs nu >= 0")
         elif self.kind == "product":
-            if self.left is None or self.right is None:
-                raise ValueError("product index function needs two factors")
+            if self.left is None:
+                raise FieldError("left", "product index function needs a "
+                                 "left factor")
+            if self.right is None:
+                raise FieldError("right", "product index function needs a "
+                                 "right factor")
         else:
-            raise ValueError(f"unknown index function kind: {self.kind!r}")
+            raise FieldError("kind",
+                             f"unknown index function kind: {self.kind!r}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -82,33 +92,3 @@ def check_sublinear(phi, t_max: float = 1.0) -> bool:
     grid = np.geomspace(t_max * 1e-12, t_max, _N_GRID)
     ratio = np.asarray(phi(grid)) / grid
     return bool(np.all(ratio[1:] <= ratio[:-1] * (1.0 + _SUBLINEAR_RTOL)))
-
-
-def from_config(obj) -> IndexFunction:
-    """Build an IndexFunction from a config mapping.
-
-    Accepted shapes: {"kind": "power", "exponent": e},
-    {"kind": "log", "p": p, "nu": nu}, and
-    {"kind": "product", "left": {...}, "right": {...}}.
-    """
-    if isinstance(obj, IndexFunction):
-        return obj
-    if not isinstance(obj, dict):
-        raise ValueError("index function config must be a mapping")
-    kind = obj.get("kind")
-
-    def field(key):
-        if key not in obj:
-            raise ValueError(f"{kind} index function needs {key!r}")
-        return obj[key]
-
-    if kind == "power":
-        return IndexFunction(kind="power", exponent=float(field("exponent")))
-    if kind == "log":
-        return IndexFunction(kind="log", p=float(field("p")),
-                             nu=float(obj.get("nu", 0.0)))
-    if kind == "product":
-        return IndexFunction(kind="product",
-                             left=from_config(field("left")),
-                             right=from_config(field("right")))
-    raise ValueError(f"unknown index function kind: {kind!r}")

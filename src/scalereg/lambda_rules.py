@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .effdim import effdim
-from .model import CASES, PowerProblemSpec, SpectralProblem
+from .model import CASES, FieldError, PowerProblemSpec, SpectralProblem
 
 LAMBDA_FLOOR = 1e-14
 
@@ -156,8 +156,9 @@ def theoretical_exponent(a: float, b: float, r: float, q: float,
 class LambdaRule:
     """Config-level description of a lambda rule.
 
-    ``params`` may carry "case" (power_table) and "value" (fixed); the
-    smoothness parameters always come from the problem.
+    ``params`` may carry "case" (power_table) and must carry "value" in
+    (0, 1] (fixed); the smoothness parameters always come from the
+    problem.  A refused kind or parameter is a ``FieldError``.
     """
 
     kind: str
@@ -165,16 +166,20 @@ class LambdaRule:
 
     def __post_init__(self):
         if self.kind not in RULE_NAMES:
-            raise ValueError(f"unknown lambda rule {self.kind!r}; expected "
-                             f"one of {RULE_NAMES}")
+            raise FieldError("kind", f"unknown lambda rule {self.kind!r}; "
+                             f"expected one of {RULE_NAMES}")
+        if self.kind == "fixed" and not 0 < self.params.get("value", 0) <= 1:
+            raise FieldError("params/value",
+                             "fixed lambda needs params.value in (0, 1]")
+        if (self.kind == "power_table"
+                and self.params.get("case", CASES[0]) not in CASES):
+            raise FieldError("params/case",
+                             f"params.case must be one of {CASES}")
 
     def resolve(self, problem: SpectralProblem, m: int) -> float:
         sm = problem.smoothness
         if self.kind == "fixed":
-            lam = float(self.params["value"])
-            if not 0 < lam <= 1:
-                raise ValueError("fixed lambda must be in (0, 1]")
-            return lam
+            return float(self.params["value"])
         if self.kind == "balance_effdim":
             return lambda_balance_effdim(problem.t, m)
         if sm is None:

@@ -31,6 +31,16 @@ _D_CAP = 2000
 _D_MIN = 64
 
 
+class FieldError(ValueError):
+    """A value that a config object refuses.  ``field`` is the key of
+    the value relative to the object ("r", "tolerance", "params/value"),
+    as a config document spells it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Observation noise: Gaussian with std ``sigma``.
@@ -45,8 +55,8 @@ class NoiseModel:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise FieldError("sigma", "sigma must be in [0, inf)")
         object.__setattr__(self, "sigma", float(self.sigma))
 
     @property
@@ -85,7 +95,8 @@ class PowerProblemSpec:
     ``v_pattern`` shapes the source element (see
     ``build_power_problem``); d is ``truncation_dim(m, s)`` unless
     ``d_override`` fixes it.  A built problem carries the spec of its own
-    d as ``smoothness``.
+    d as ``smoothness``.  A refused parameter raises a ``FieldError``
+    that names its config key ("d" for ``d_override``).
     """
 
     s: float
@@ -99,22 +110,23 @@ class PowerProblemSpec:
     noise: NoiseModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # written as "not x >= bound" so that NaN is refused
-        if not self.r > 0:
-            raise ValueError("r must be positive")
+        # written as "not lo < x < inf" so that NaN and inf are refused
+        if not 0 < self.r < math.inf:
+            raise FieldError("r", "r must be in (0, inf)")
         if not 0 < self.a_link <= 0.5:
-            raise ValueError("a_link must be in (0, 1/2]")
-        if not self.q >= 1:
-            raise ValueError("q must be >= 1")
-        if not self.R_dagger > 0:
-            raise ValueError("R_dagger must be positive")
-        if not self.s > 0:
-            raise ValueError("s must be positive")
+            raise FieldError("a_link", "a_link must be in (0, 1/2]")
+        if not 1 <= self.q < math.inf:
+            raise FieldError("q", "q must be in [1, inf)")
+        if not 0 < self.R_dagger < math.inf:
+            raise FieldError("R_dagger", "R_dagger must be in (0, inf)")
+        if not 0 < self.s < math.inf:
+            raise FieldError("s", "s must be in (0, inf)")
         object.__setattr__(self, "noise", NoiseModel(self.sigma))
         if self.d_override is not None and not self.d_override >= 2:
-            raise ValueError("d must be >= 2")
+            raise FieldError("d", "d must be >= 2")
         if self.v_pattern not in V_PATTERNS:
-            raise ValueError(f"v_pattern must be one of {V_PATTERNS}")
+            raise FieldError("v_pattern",
+                             f"v_pattern must be one of {V_PATTERNS}")
 
     @property
     def b(self) -> float:

@@ -9,6 +9,8 @@ import pytest
 
 import scalereg
 from scalereg.cli import COMMANDS, REQUIRED, Group, main
+from scalereg.filters import FILTER_NAMES
+from scalereg.model import CASES, V_PATTERNS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,11 +130,13 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("effdim", SMALL_EFFDIM, 'spectrum=[1.0, "0.5"]', "/spectrum"),
             ("bounds", SMALL_BOUNDS, "etas=[false]", "/etas"),
             # problem parameters are checked before any trial runs
-            ("rate", SMALL_RATE, "problem.a_link=0.7", "/problem"),
-            ("rate", SMALL_RATE, "problem.v_pattern=bogus", "/problem"),
-            ("rate", SMALL_RATE, "problem.d=0", "/problem"),
-            ("rate", SMALL_RATE, "problem.d=1", "/problem"),
-            ("rate", SMALL_RATE, "problem.sigma=-1", "/problem"),
+            ("rate", SMALL_RATE, "problem.a_link=0.7", "/problem/a_link"),
+            ("rate", SMALL_RATE, "problem.v_pattern=bogus",
+             "/problem/v_pattern"),
+            ("rate", SMALL_RATE, "problem.d=0", "/problem/d"),
+            ("rate", SMALL_RATE, "problem.d=1", "/problem/d"),
+            ("rate", SMALL_RATE, "problem.sigma=-1", "/problem/sigma"),
+            ("rate", SMALL_RATE, "problem.q=0.5", "/problem/q"),
             # the power table's case is the config's case
             ("rate", SMALL_RATE, "case=regular", "/case"),
             # and the case is one that the problem's r admits
@@ -163,11 +167,15 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
              "/lambda_rule/params/cse"),
             # rate gates the h norm only, the norm its exponent bounds
             ("rate", SMALL_RATE, "error_norm=prediction", "/error_norm"),
+            # the choices and ranges of the experiment's own fields
+            ("rate", SMALL_RATE, "filter=bogus", "/filter"),
+            ("rate", SMALL_RATE, "case=bogus", "/case"),
+            ("rate", SMALL_RATE, "trials_per_m=3", "/trials_per_m"),
             # zeta is read as an index function, and it and XI_S's t^s
             # must pass the coverage check at every cell, before any
             # trial runs and whether or not the run reads them
             ("bounds", SMALL_BOUNDS, 'zeta={"kind": "power", "exponent": -1}',
-             "/zeta"),
+             "/zeta/exponent"),
             ("bounds", SMALL_BOUNDS, 'zeta={"kind": "power", "exponent": 2}',
              "/zeta"),
             ("bounds", SMALL_BOUNDS, "s_exponent=2", "/s_exponent"),
@@ -420,17 +428,24 @@ def _schema_rows():
     return rows
 
 
-def test_readme_field_table_matches_the_schemas():
-    # every row of the README's five-column field table is a field of
-    # the schemas and every field has a row, with its type, its
-    # default, and its choices (in backticks) or its range; where the
-    # schema checks neither, the cell is free text
+def _readme_table() -> dict:
+    """(in, field) -> (type, default, values) of the README's
+    five-column field table."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     table = {}
     for line in text.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) == 5 and cells[0].startswith("`"):
             table[cells[0], cells[1]] = tuple(cells[2:])
+    return table
+
+
+def test_readme_field_table_matches_the_schemas():
+    # every row of the README's five-column field table is a field of
+    # the schemas and every field has a row, with its type, its
+    # default, and its choices (in backticks) or its range; where the
+    # schema checks neither, the cell is free text
+    table = _readme_table()
     want = _schema_rows()
     assert set(table) == set(want)
     for key, (what, default, values) in want.items():
@@ -440,6 +455,19 @@ def test_readme_field_table_matches_the_schemas():
                 key
         elif values:
             assert table[key][2] == values, key
+
+
+def test_readme_lists_the_choices_that_the_library_owns():
+    # these fields have no schema choices, since the object that they
+    # build refuses any other value; their cells list the library's
+    table = _readme_table()
+    for key, values in [(("`rate`", "`filter`"), FILTER_NAMES),
+                        (("`rate`", "`case`"), CASES),
+                        (("`rate`", "`error_norm`"), ("h",)),
+                        (("`problem`", "`v_pattern`"), V_PATTERNS),
+                        (("`lambda_rule` of `power_table`", "`params.case`"),
+                         CASES)]:
+        assert tuple(re.findall(r"`([^`]*)`", table[key][2])) == values, key
 
 
 def test_filters_check_needs_no_config(tmp_path, capsys):

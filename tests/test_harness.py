@@ -113,7 +113,9 @@ def test_case_owns_the_power_table_rule():
         cfg = _small_config(lambda_rule=rule)
         assert cfg.lambda_rule == table
         assert config_hash(cfg) == config_hash(written)
-    regular = _small_config(lambda_rule=None, case="regular")
+    regular = _small_config(
+        problem=PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=2.0),
+        lambda_rule=None, case="regular")
     assert regular.lambda_rule.params == {"case": "regular"}
     fixed = LambdaRule("fixed", {"value": 0.01})
     assert _small_config(lambda_rule=fixed).lambda_rule == fixed
@@ -141,13 +143,12 @@ def test_small_experiment_is_deterministic_and_plausible():
 def test_uncovered_smoothness_is_refused():
     spec = PowerProblemSpec(s=1.0, a_link=0.5, r=2.0, q=4.0, sigma=0.05,
                             d_override=32)
-    cfg = ExperimentConfig(problem=spec, filter_id="tikhonov",
-                           lambda_rule=LambdaRule("power_table",
-                                                  {"case": "regular"}),
-                           m_grid=(64, 128, 256, 512, 1024, 2048),
-                           trials_per_m=10, seed=0, case="regular")
     with pytest.raises(ValueError, match="refus"):
-        run_rate_experiment(cfg)
+        ExperimentConfig(problem=spec, filter_id="tikhonov",
+                         lambda_rule=LambdaRule("power_table",
+                                                {"case": "regular"}),
+                         m_grid=(64, 128, 256, 512, 1024, 2048),
+                         trials_per_m=10, seed=0, case="regular")
 
 
 def test_noiseless_exact_recovery_flags_degenerate():

@@ -9,7 +9,13 @@ from scalereg import (
     check_sublinear,
     power_fn,
 )
-from scalereg.indexfn import from_config
+from scalereg.cli import INDEX_FN, ConfigError
+
+
+def from_config(cfg):
+    """The index function of a config document, read by the command
+    line's one parser of them."""
+    return INDEX_FN.value(cfg, "/zeta")
 
 
 def test_power_values():
@@ -102,12 +108,17 @@ def test_from_config_builds_the_documented_function(cfg):
 
 
 def test_from_config_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="need object"):
         from_config(42)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="need one of"):
         from_config({"kind": "spline"})
-    # a missing field is a ValueError naming it, not a bare KeyError
-    for cfg in ({"kind": "power"}, {"kind": "log", "nu": 1.0},
-                {"kind": "product", "left": {"kind": "power", "exponent": 1}}):
-        with pytest.raises(ValueError, match="needs"):
+    # a missing field is a config error at its pointer, not a bare
+    # KeyError
+    for cfg, pointer in (
+            ({"kind": "power"}, "/zeta/exponent"),
+            ({"kind": "log", "nu": 1.0}, "/zeta/p"),
+            ({"kind": "product", "left": {"kind": "power", "exponent": 1}},
+             "/zeta/right")):
+        with pytest.raises(ConfigError, match="missing required field") as exc:
             from_config(cfg)
+        assert exc.value.pointer == pointer

@@ -14,7 +14,7 @@ from scalereg import (
     theoretical_exponent,
 )
 from scalereg.lambda_rules import LAMBDA_FLOOR
-from scalereg.model import PowerProblemSpec
+from scalereg.model import FieldError, PowerProblemSpec
 
 
 def test_balance_scalar_oracle():
@@ -136,6 +136,19 @@ def test_rule_names_and_resolve():
                                   R_dagger=1.0, d=64, sigma=0.05)
     with pytest.raises(ValueError, match="case"):
         LambdaRule("power_table").resolve(regular, 100)
+
+
+def test_rule_params_are_checked_at_construction():
+    # a refused parameter names its key, before any resolve
+    for kind, params, key in (("fixed", {}, "params/value"),
+                              ("fixed", {"value": 0.0}, "params/value"),
+                              ("fixed", {"value": 1.5}, "params/value"),
+                              ("power_table", {"case": "bogus"},
+                               "params/case"),
+                              ("newton", {}, "kind")):
+        with pytest.raises(FieldError) as exc:
+            LambdaRule(kind, params)
+        assert exc.value.field == key, (kind, params)
 
 
 def test_rules_needing_smoothness_reject_bare_problems():

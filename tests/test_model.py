@@ -12,7 +12,7 @@ from scalereg import (
     hilbert_scale_norm,
     truncation_dim,
 )
-from scalereg.model import _cosine_sum
+from scalereg.model import FieldError, _cosine_sum
 
 
 def test_power_problem_link_held_with_equality():
@@ -70,10 +70,12 @@ _VALID = dict(s=0.5, a_link=0.25, r=2.0, q=4.0, R_dagger=1.0, sigma=0.05)
 
 @pytest.mark.parametrize("name", sorted(_VALID))
 def test_problem_spec_refuses_nan(name):
-    # every check is written so that a NaN fails it
+    # every check is written so that a NaN and an infinity fail it
     PowerProblemSpec(**_VALID)
-    with pytest.raises(ValueError, match=name):
-        PowerProblemSpec(**dict(_VALID, **{name: math.nan}))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError, match=name) as exc:
+            PowerProblemSpec(**dict(_VALID, **{name: bad}))
+        assert exc.value.field == name
 
 
 def test_truncation_dim():
@@ -200,7 +202,7 @@ def test_noise_model_constants():
     silent = NoiseModel(0)
     assert silent.sigma == 0.0 and isinstance(silent.sigma, float)
     assert silent.M == 1.0 and silent.Sigma_const == 1.0
-    for bad in (-0.1, math.nan):
+    for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma"):
             NoiseModel(bad)
 
