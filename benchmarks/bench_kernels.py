@@ -9,9 +9,11 @@ phi^T phi, its dense assembly ``toarray()``, and the dense
 ``PCG solve`` rows time the estimator's primal Tikhonov solve
 (conjugate gradients preconditioned with the population operator, with
 its step count) on the factored T_x that ``crossprod`` returns, as
-``estimate`` runs it, next to the same PCG on the dense T_x and numpy's
-LU solve of the same system (the LU time includes the copy of T it
-shifts in place), on criterion-10 cells at the power-table lambda:
+``estimate`` runs it, next to the same PCG on the dense T_x; the
+``eigh route`` rows time the dense route that ``estimate`` takes for
+the other filters and for a PCG that reaches its step cap (assembly of
+T_x, its clamped eigendecomposition and the Tikhonov filter on its
+eigenvalues), on criterion-10 cells at the power-table lambda:
 
     python3 benchmarks/bench_kernels.py
 
@@ -45,10 +47,17 @@ def run():
     import numpy as np
 
     from scalereg import (LambdaRule, PowerProblemSpec, design_matrix,
-                          sample_dataset)
+                          filter_values, make_filter, sample_dataset)
     from scalereg.model import _cosine_sum
-    from scalereg.sampling import (_design_weights, _pcg, _shifted_solve,
+    from scalereg.sampling import (_clamped_eigh, _design_weights, _pcg,
                                    _weighted_cosine_table, crossprod)
+
+    tikhonov = make_filter("tikhonov")
+
+    def eigh_route(op, lam, b, prob):
+        evals, V = _clamped_eigh(op.toarray(), prob.kappa_sq)
+        g = filter_values(tikhonov, lam, evals, prob.kappa_sq)
+        return V @ (g * (V.T @ b))
 
     rng = np.random.Generator(np.random.Philox(0))
     rows = []
@@ -80,9 +89,9 @@ def run():
         op = crossprod(phi, _design_weights(prob)) / m
         T = op.toarray()
         b = phi.T @ ds.y / m
-        rows.append({"kernel": "LU solve", "shape": f"{m}x{d}",
+        rows.append({"kernel": "eigh route", "shape": f"{m}x{d}",
                      "seconds": _best_of(
-                         lambda: _shifted_solve(T.copy(), lam, b))})
+                         lambda: eigh_route(op, lam, b, prob))})
         for name, A in (("PCG solve, dense T", T), ("PCG solve", op)):
             rows.append({"kernel": name, "shape": f"{m}x{d}",
                          "seconds": _best_of(lambda: _pcg(A, lam, b, prob.t)),

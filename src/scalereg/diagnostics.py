@@ -32,8 +32,8 @@ from .effdim import effdim
 from .filters import FilterFamily, residual_values
 from .indexfn import IndexFunction, check_sublinear, power_fn
 from .model import SpectralProblem, forward_eval, hilbert_scale_norm
-from .sampling import (Dataset, _clamped_eigh, _sample_sums, _stream,
-                       _trial_seeds)
+from .sampling import (Dataset, _clamped_eigh, _design_points, _noise,
+                       _sample_sums, _trial_seeds)
 
 QUANTITIES = ("PSI", "UPSILON", "LAMBDA_Q", "XI_S", "XI_ZETA", "TX_DEV")
 # the Hilbert-Schmidt norms of T - T_x, plain and weighted
@@ -247,12 +247,10 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
 
 def _trial_values(problem: SpectralProblem, m: int, lam: float,
                   trial_seed: int, tags, zeta_fns: dict) -> dict:
-    x = _stream(trial_seed, 0).random(m)
-
-    def noise():
-        return problem.noise.sigma * _stream(trial_seed, 1).standard_normal(m)
-
-    return _design_values(problem, x, noise, lam, tags, zeta_fns)[0]
+    # the design and noise of sample_dataset under the trial seed
+    return _design_values(problem, _design_points(trial_seed, m),
+                          lambda: _noise(problem, trial_seed, m), lam, tags,
+                          zeta_fns)[0]
 
 
 def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,

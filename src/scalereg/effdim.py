@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,22 @@ def effdim_curve(spectrum, lambda_lo: float, lambda_hi: float,
     return EffDimCurve(lambdas=lams, values=vals)
 
 
+def _wls_line(xs, ys, weights):
+    """Weighted least squares for y = b0 + b1 x; returns (b1, stderr)."""
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    w = np.asarray(weights, float)
+    X = np.column_stack([np.ones_like(xs), xs])
+    xtwx = X.T @ (w[:, None] * X)
+    beta = np.linalg.solve(xtwx, X.T @ (w * ys))
+    resid = ys - X @ beta
+    dof = len(xs) - 2
+    if dof <= 0:
+        return float(beta[1]), float("nan")
+    s2 = float(w @ resid ** 2) / dof
+    cov = np.linalg.inv(xtwx) * s2
+    return float(beta[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
+
+
 def fit_effdim_exponent(spectrum, lambda_lo: float,
                         lambda_hi: float) -> dict:
     """Least-squares decay exponent of N(lambda) ~ lambda^(-b).
@@ -61,14 +78,9 @@ def fit_effdim_exponent(spectrum, lambda_lo: float,
         raise ValueError(
             f"N(lambda_lo) = {curve.values[0]:.1f} >= d/2 = {t.size / 2}: "
             "truncation binds; increase the spectrum length d")
-    lx = np.log(curve.lambdas)
-    ly = np.log(curve.values)
-    n = lx.size
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    sxx = np.sum((lx - lx.mean()) ** 2)
-    stderr = float(np.sqrt(resid @ resid / max(n - 2, 1) / sxx))
-    return {"b_hat": float(-slope), "stderr": stderr}
+    slope, stderr = _wls_line(np.log(curve.lambdas), np.log(curve.values),
+                              np.ones(curve.lambdas.size))
+    return {"b_hat": -slope, "stderr": stderr}
 
 
 def check_tail_condition(spectrum, t_grid) -> float:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .effdim import _wls_line
 from .filters import check_covering, make_filter
 from .indexfn import power_fn
 from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
@@ -129,22 +130,6 @@ class RateReport:
                 "degenerate": self.degenerate}
 
 
-def _wls_line(xs, ys, weights):
-    """Weighted least squares for y = b0 + b1 x; returns (b1, stderr)."""
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    w = np.asarray(weights, float)
-    X = np.column_stack([np.ones_like(xs), xs])
-    xtwx = X.T @ (w[:, None] * X)
-    beta = np.linalg.solve(xtwx, X.T @ (w * ys))
-    resid = ys - X @ beta
-    dof = len(xs) - 2
-    if dof <= 0:
-        return float(beta[1]), float("nan")
-    s2 = float(w @ resid ** 2) / dof
-    cov = np.linalg.inv(xtwx) * s2
-    return float(beta[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
-
-
 def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     """Execute the configured rate experiment; deterministic under seed.
 
@@ -152,8 +137,9 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     h-norm error per trial.  Medians are fitted by weighted least
     squares in log-log (weights = trials / variance of the log errors).
     Each cell also reports ``cg_steps``, the median number of PCG steps
-    of the primal Tikhonov solve (0 on routes without one; a trial that
-    fell back to LU counts as infinitely many), a per-cell reading of
+    of the primal Tikhonov solve (0 on routes without one; a trial whose
+    PCG reached its step cap, so that the eigh route answered, counts as
+    infinitely many), a per-cell reading of
     the hypothesis N(lambda) <= m lambda.
     Aborts on any NaN error with the cell named.
     """
@@ -181,7 +167,7 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
         val = errors(problem, est)["h_norm"]
         if not math.isfinite(val):
             raise RuntimeError(f"non-finite error in cell m={m}, trial={k}")
-        return val, math.inf if est.lu_fallback else est.cg_steps
+        return val, est.cg_steps
 
     # each trial runs in its own call, and every trial before any cell's
     # statistics, so that no trial's arrays outlive it.  The largest of

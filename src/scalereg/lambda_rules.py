@@ -17,10 +17,11 @@ pinned value; it is not one of the analysis rules.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .effdim import effdim
 from .model import CASES, FieldError, PowerProblemSpec, SpectralProblem
@@ -30,36 +31,47 @@ LAMBDA_FLOOR = 1e-14
 RULE_NAMES = ("balance_effdim", "balance_general", "power_table", "fixed")
 
 
-def _log_bisect(h, lo: float, hi: float, iters: int = 120) -> float:
-    """Bisection in log-lambda for h with h(lo) > 0 > h(hi)."""
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(iters):
+def _balance(spectrum, m: int, expo: float) -> float:
+    """Root of N(lambda) = m * lambda^expo on (0, 1], N the spectrum's
+    effective dimension, by bisection in log-lambda.
+
+    The right side increases strictly in lambda and N decreases, so the
+    root is unique.  Without a sign change on [LAMBDA_FLOOR, 1] the
+    nearer endpoint is returned with a warning: 1 when even lambda = 1
+    leaves N(1) > m (the sample is too small), the floor when N stays
+    below the right side down to it.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+
+    def h(lam):
+        return effdim(spectrum, lam) - m * lam ** expo
+
+    if h(1.0) > 0.0:
+        warnings.warn(f"N(1) = {effdim(spectrum, 1.0):.3g} > m = {m}: "
+                      "sample too small for the balancing equation; "
+                      "returning lambda = 1")
+        return 1.0
+    if h(LAMBDA_FLOOR) < 0.0:
+        warnings.warn("no sign change down to the lambda floor; "
+                      "returning the floor")
+        return LAMBDA_FLOOR
+    llo, lhi = math.log(LAMBDA_FLOOR), 0.0
+    for _ in range(120):
         mid = 0.5 * (llo + lhi)
         if h(math.exp(mid)) > 0.0:
             llo = mid
         else:
             lhi = mid
-    return math.exp(0.5 * (llo + lhi))
+    lam = math.exp(0.5 * (llo + lhi))
+    if abs(h(lam)) > 1e-8 * m * lam ** expo:
+        raise RuntimeError("balancing equation residual above tolerance")
+    return lam
 
 
 def lambda_balance_effdim(spectrum, m: int) -> float:
-    """Root of N(lambda) = m * lambda on (0, 1], N the spectrum's
-    effective dimension.
-
-    If even lambda = 1 cannot satisfy the equation (N(1) > m) the sample
-    is too small; 1.0 is returned with a warning.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    N = functools.partial(effdim, spectrum)
-    if N(1.0) > m:
-        warnings.warn(f"N(1) = {N(1.0):.3g} > m = {m}: sample too small "
-                      "for the balancing equation; returning lambda = 1")
-        return 1.0
-    lam = _log_bisect(lambda la: N(la) - m * la, LAMBDA_FLOOR, 1.0)
-    if abs(N(lam) - m * lam) > 1e-8 * m * lam:
-        raise RuntimeError("balancing equation residual above tolerance")
-    return lam
+    """Root of N(lambda) = m * lambda on (0, 1] (see ``_balance``)."""
+    return _balance(spectrum, m, 1.0)
 
 
 def _power_law(m: int, e: float) -> float:
@@ -71,29 +83,10 @@ def _power_law(m: int, e: float) -> float:
 
 def lambda_balance_general(spectrum, spec: PowerProblemSpec,
                            m: int) -> float:
-    """Root of m * lambda^(2a(r-1)+1) = N(lambda) on (0, 1].
-
-    For power-type theta(t) = t^r and rho(t) = t^a the balancing
-    equation collapses to the single power shown; the left side is
-    strictly increasing in lambda, so bisection applies.  Without a
-    sign change on the interval the nearer endpoint is returned with a
-    warning.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    expo = 2.0 * spec.a_link * (spec.r - 1.0) + 1.0
-
-    def h(lam):
-        return effdim(spectrum, lam) - m * lam ** expo
-
-    if h(1.0) > 0.0:
-        warnings.warn("no sign change up to lambda = 1; returning 1")
-        return 1.0
-    if h(LAMBDA_FLOOR) < 0.0:
-        warnings.warn("no sign change down to the lambda floor; "
-                      "returning the floor")
-        return LAMBDA_FLOOR
-    return _log_bisect(h, LAMBDA_FLOOR, 1.0)
+    """Root of m * lambda^(2a(r-1)+1) = N(lambda) on (0, 1]: for
+    power-type theta(t) = t^r and rho(t) = t^a the balancing equation
+    collapses to that single power (see ``_balance``)."""
+    return _balance(spectrum, m, 2.0 * spec.a_link * (spec.r - 1.0) + 1.0)
 
 
 def benchmark_order(case: str, q: float) -> float:
@@ -158,13 +151,17 @@ class LambdaRule:
 
     ``params`` may carry "case" (power_table) and must carry "value" in
     (0, 1] (fixed); the smoothness parameters always come from the
-    problem.  A refused kind or parameter is a ``FieldError``.
+    problem.  A refused kind or parameter is a ``FieldError``.  The rule
+    keeps a read-only copy of ``params``, so no later write to the
+    mapping it was given undoes these checks.
     """
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params",
+                           MappingProxyType(dict(self.params)))
         if self.kind not in RULE_NAMES:
             raise FieldError("kind", f"unknown lambda rule {self.kind!r}; "
                              f"expected one of {RULE_NAMES}")

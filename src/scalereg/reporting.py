@@ -91,7 +91,8 @@ def write_rate_csv(path, report) -> None:
     """Per-m rows plus a '#'-prefixed footer with the fit summary.
 
     The trailing ``cg_steps`` column is the cell's median PCG step count
-    (``inf`` when most trials fell back to LU).
+    (``inf`` when in most trials the PCG reached its step cap and the
+    eigh route answered).
     """
     doc = report.to_dict()
     with open(path, "w", encoding="utf-8", newline="") as fh:

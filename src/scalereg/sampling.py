@@ -47,7 +47,9 @@ and the analysis keeps Upsilon small under its standing hypothesis
 N(lambda) <= m lambda; so the spectrum clusters at 1 and a few steps
 reach a residual of 1e-14 ||b||.  Off that hypothesis (tiny lambda at
 small m) the iteration may not get there within ``_PCG_MAX_STEPS``
-steps, and the dense LU solve of the same system answers instead.
+steps, and the estimate falls to the route every other filter takes at
+m >= d: the eigendecomposition of the dense T_x with the filter applied
+to its eigenvalues.
 
 Phi itself is filled column by column with the three-term recurrence
 
@@ -70,6 +72,7 @@ so identical (problem, m, seed, design) always reproduce the same data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -89,7 +92,7 @@ _SVD_DIRECT_LIMIT = 1 << 18
 _NEG_EIG_TOL = 1e-12
 
 # the primal Tikhonov PCG stops at ||r|| <= _PCG_RTOL ||b||; past
-# _PCG_MAX_STEPS steps the LU solve of the same system answers
+# _PCG_MAX_STEPS steps the eigh route of the other filters answers
 _PCG_RTOL = 1e-14
 _PCG_MAX_STEPS = 100
 
@@ -129,20 +132,29 @@ class Estimate:
     """A regularized solution and how it was solved.
 
     ``cg_steps`` counts the conjugate-gradient steps of the primal
-    Tikhonov solve (0 on every other route).  ``lu_fallback`` marks a
-    solve whose PCG reached ``_PCG_MAX_STEPS`` without converging, so
-    that the LU solve gave u_hat.
+    Tikhonov solve (0 on every other route).  It is ``math.inf`` when
+    the PCG reached ``_PCG_MAX_STEPS`` without converging, so that the
+    eigendecomposition of the dense T_x gave u_hat.
     """
 
     f_hat: np.ndarray
     u_hat: np.ndarray
-    cg_steps: int = 0
-    lu_fallback: bool = False
+    cg_steps: float = 0
 
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence([int(seed), which])))
+
+
+def _design_points(seed: int, m: int) -> np.ndarray:
+    """The m uniform design points that ``sample_dataset`` draws under seed."""
+    return _stream(seed, 0).random(m)
+
+
+def _noise(problem: SpectralProblem, seed: int, m: int) -> np.ndarray:
+    """The noise sigma * z that ``sample_dataset`` adds under seed."""
+    return problem.noise.sigma * _stream(seed, 1).standard_normal(m)
 
 
 def _trial_seeds(seed: int, m: int, n: int) -> np.ndarray:
@@ -159,13 +171,12 @@ def sample_dataset(problem: SpectralProblem, m: int, seed: int,
     if design == "midpoint_grid":
         x = (np.arange(1, m + 1, dtype=np.float64) - 0.5) / m
     elif design == "random_uniform":
-        x = _stream(seed, 0).random(m)
+        x = _design_points(seed, m)
     else:
         raise ValueError(f"design must be one of {DESIGNS}")
     y = forward_eval(problem, problem.f_true, x)
-    sigma = problem.noise.sigma
-    if sigma > 0:
-        y = y + sigma * _stream(seed, 1).standard_normal(m)
+    if problem.noise.sigma > 0:
+        y = y + _noise(problem, seed, m)
     return Dataset(x=x, y=y)
 
 
@@ -355,19 +366,13 @@ def _clamped_eigh(S: np.ndarray, kappa_sq: float):
     return w, V
 
 
-def _shifted_solve(S: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
-    # (S + lam I)^-1 b, shifting the diagonal of S in place
-    S[np.diag_indices_from(S)] += lam
-    return np.linalg.solve(S, b)
-
-
 def _pcg(T, lam: float, b: np.ndarray, t: np.ndarray):
     """(u, steps) solving (T + lam I) u = b by CG preconditioned with
     (t + lam)^-1, from u = b / (t + lam), until ||r|| <= _PCG_RTOL ||b||.
 
     T is anything with a symmetric ``T @ p``: a dense array or the
-    factored operator of ``crossprod``.  u is None when _PCG_MAX_STEPS
-    steps do not get there.  T is left unchanged.
+    factored operator of ``crossprod``.  (None, inf) when
+    _PCG_MAX_STEPS steps do not get there.  T is left unchanged.
     """
     pinv = 1.0 / (t + lam)
     u = pinv * b
@@ -379,7 +384,7 @@ def _pcg(T, lam: float, b: np.ndarray, t: np.ndarray):
     steps = 0
     while np.linalg.norm(r) > tol:
         if steps == _PCG_MAX_STEPS:
-            return None, steps
+            return None, math.inf
         q = T @ p + lam * p
         alpha = rz / (p @ q)
         u += alpha * p
@@ -406,16 +411,15 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     ``_POINT_BLOCK`` points, and T_x stays in the factored
     Toeplitz-plus-Hankel form of ``crossprod``, so each step is an
     O(d log d) FFT matrix-vector product and no d-by-d matrix is built.
-    Under
-    N(lambda) <= m lambda the preconditioned operator is within
+    Under N(lambda) <= m lambda the preconditioned operator is within
     Upsilon / sqrt(lambda) of the identity, so it takes a few steps
-    (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not suffice, the dense
-    T_x is assembled and numpy's LU solve of the same system answers
-    (``lu_fallback``).  When m < d, u = Phi^T (Phi Phi^T / m + lambda I)^-1
-    y / m by LU.  The other filters act through the eigenvectors of T_x
-    (m >= d) or of the m-by-m Gram matrix (m < d).
+    (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not suffice,
+    ``cg_steps`` is inf and u comes from the route of the other filters.
+    When m < d, u = Phi^T (Phi Phi^T / m + lambda I)^-1 y / m by LU.
+    The other filters act through the eigenvectors of T_x (m >= d),
+    assembled dense, or of the m-by-m Gram matrix (m < d).
 
-    The LU solves use numpy rather than scipy's Cholesky: numpy and
+    The LU solve uses numpy rather than scipy's Cholesky: numpy and
     scipy each bundle their own OpenBLAS thread pool, and waking both in
     one trial costs more than LU's extra flops.
     """
@@ -426,15 +430,13 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     m, d = dataset.m, problem.d
     y = dataset.y
     tikhonov = filt.id == "tikhonov"
-    steps, fallback = 0, False
+    steps, u = 0, None
 
     if m >= d:
         T, bvec = _sample_sums(problem, dataset.x, y)
         if tikhonov:
             u, steps = _pcg(T, lam, bvec, problem.t)
-            if u is None:
-                u, fallback = _shifted_solve(T.toarray(), lam, bvec), True
-        else:
+        if u is None:
             evals, V = _clamped_eigh(T.toarray(), problem.kappa_sq)
             g = filter_values(filt, lam, evals, problem.kappa_sq)
             u = V @ (g * (V.T @ bvec))
@@ -445,13 +447,14 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
             g = filter_values(filt, lam, s * s, problem.kappa_sq)
             u = Wt.T @ (g * (Wt @ (phi.T @ y / m)))
         elif tikhonov:
-            u = phi.T @ _shifted_solve(gram(phi) / m, lam, y) / m
+            G = gram(phi) / m
+            G[np.diag_indices_from(G)] += lam
+            u = phi.T @ np.linalg.solve(G, y) / m
         else:
             evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
             g = filter_values(filt, lam, evals, problem.kappa_sq)
             u = phi.T @ (U @ (g * (U.T @ y))) / m
-    return Estimate(f_hat=u / problem.l, u_hat=u, cg_steps=steps,
-                    lu_fallback=fallback)
+    return Estimate(f_hat=u / problem.l, u_hat=u, cg_steps=steps)
 
 
 def errors(problem: SpectralProblem, est: Estimate) -> dict:

@@ -184,7 +184,8 @@ def test_rate_improves_with_source_smoothness():
 
 def test_cells_report_median_cg_steps(tmp_path, monkeypatch):
     # m = 32 < d takes the SVD route (no CG); the other cells solve the
-    # primal system by PCG, or by LU once the step cap is cut to one
+    # primal system by PCG, or by the eigh route once the step cap is
+    # cut to one
     import scalereg.sampling as sampling
     from scalereg.reporting import write_rate_csv
     cfg = _small_config(

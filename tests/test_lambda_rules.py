@@ -51,7 +51,7 @@ def test_balance_general_matches_effdim_balance_at_r_one():
     spec = PowerProblemSpec(s=1.0, a_link=0.5, r=1.0, q=1.0)
     lam_g = lambda_balance_general(t, spec, 5000)
     lam_b = lambda_balance_effdim(t, 5000)
-    assert lam_g == pytest.approx(lam_b, rel=1e-9)
+    assert lam_g == lam_b
 
 
 def test_balance_general_scalar_oracle():
@@ -149,6 +149,18 @@ def test_rule_params_are_checked_at_construction():
         with pytest.raises(FieldError) as exc:
             LambdaRule(kind, params)
         assert exc.value.field == key, (kind, params)
+
+
+def test_rule_params_are_read_only():
+    # the construction-time checks hold for the rule's whole life: its
+    # params can be neither written nor changed through the given dict
+    rule = LambdaRule("fixed", {"value": 0.5})
+    with pytest.raises(TypeError):
+        rule.params["value"] = 7.0
+    given = {"value": 0.5}
+    rule = LambdaRule("fixed", given)
+    given["value"] = 7.0
+    assert rule.params["value"] == 0.5
 
 
 def test_rules_needing_smoothness_reject_bare_problems():

@@ -90,8 +90,8 @@ def test_rate_csv_round_trip(tmp_path):
         passed=True, config_hash="ab" * 32)
     path = tmp_path / "rate.csv"
     write_rate_csv(path, report)
-    # a cell whose trials fell back to LU reads inf; the footer lines are
-    # '# key,value'
+    # a cell whose trials reached the PCG step cap reads inf; the footer
+    # lines are '# key,value'
     assert path.read_text() == (
         "m,lambda,mean,median,std,cg_steps\n"
         "256,0.0625,0.0169,0.0165,0.0023,7.0\n"

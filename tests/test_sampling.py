@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from scalereg import (
     empirical_cov,
     errors,
     estimate,
+    filter_values,
     make_filter,
     sample_dataset,
 )
@@ -219,7 +222,7 @@ def test_primal_pcg_matches_dense_solve_at_benchmark_size():
     prob, ds, lam = _regular_cell(m, d, seed=41)
     filt = make_filter("tikhonov")
     est = estimate(prob, ds, filt, lam)
-    assert 0 < est.cg_steps <= 20 and not est.lu_fallback
+    assert 0 < est.cg_steps <= 20
     lhs = empirical_cov(prob, ds.x)
     lhs[np.diag_indices_from(lhs)] += lam
     ref = np.linalg.solve(lhs, design_matrix(prob, ds.x).T @ ds.y / m)
@@ -228,21 +231,22 @@ def test_primal_pcg_matches_dense_solve_at_benchmark_size():
     assert np.array_equal(estimate(prob, ds, filt, lam).u_hat, est.u_hat)
 
 
-def test_primal_pcg_falls_back_to_the_lu_solve_at_its_cap(monkeypatch):
+def test_primal_pcg_falls_to_the_eigh_route_at_its_cap(monkeypatch):
     monkeypatch.setattr(sampling, "_PCG_MAX_STEPS", 1)
     m, d = 300, 64
     prob, ds, lam = _regular_cell(m, d, seed=3)
-    est = estimate(prob, ds, make_filter("tikhonov"), lam)
-    assert est.lu_fallback and est.cg_steps == 1
-    phi = design_matrix(prob, ds.x)
-    want = sampling._shifted_solve(empirical_cov(prob, ds.x), lam,
-                                   phi.T @ ds.y / m)
-    assert np.array_equal(est.u_hat, want)
+    filt = make_filter("tikhonov")
+    est = estimate(prob, ds, filt, lam)
+    assert est.cg_steps == math.inf
+    evals, V = _clamped_eigh(empirical_cov(prob, ds.x), prob.kappa_sq)
+    g = filter_values(filt, lam, evals, prob.kappa_sq)
+    b = design_matrix(prob, ds.x).T @ ds.y / m
+    assert np.array_equal(est.u_hat, V @ (g * (V.T @ b)))
 
 
 def test_primal_tikhonov_assembles_no_dense_operator(monkeypatch):
-    # PCG runs on the factored T_x; only the LU fallback builds the
-    # d x d matrix
+    # PCG runs on the factored T_x; only the eigh route it falls to at
+    # its step cap builds the d x d matrix
     def refuse(self):
         raise AssertionError("toarray() called")
 
@@ -251,7 +255,7 @@ def test_primal_tikhonov_assembles_no_dense_operator(monkeypatch):
     prob, ds, lam = _regular_cell(m, d, seed=3)
     filt = make_filter("tikhonov")
     est = estimate(prob, ds, filt, lam)
-    assert est.cg_steps > 0 and not est.lu_fallback
+    assert 0 < est.cg_steps < math.inf
     monkeypatch.setattr(sampling, "_PCG_MAX_STEPS", 1)
     with pytest.raises(AssertionError, match="toarray"):
         estimate(prob, ds, filt, lam)
