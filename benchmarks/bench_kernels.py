@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-TABLE_SIZES = [(1024, 128), (4096, 512), (16384, 1024)]
+TABLE_SIZES = [(1024, 128), (4096, 512), (2048, 2000), (16384, 1024)]
 COSINE_SUM_SIZES = [(512, 2000), (2048, 2000), (4096, 256), (16384, 512)]
 CROSSPROD_SIZES = [(4096, 256), (2048, 2000), (16384, 512)]
 SOLVE_SIZES = [(2048, 2000), (16384, 2000), (16384, 512)]

@@ -181,10 +181,10 @@ def test_forward_eval_agrees_with_design_matrix(m, d):
     for f in (prob.f_true, rng.standard_normal(d)):
         want = phi @ (prob.l * f)
         err = np.abs(forward_eval(prob, f, x) - want).max()
-        # relative to sum_j |a_j f_j| sup|e_j|; the table's own
-        # recurrence error dominates (about 2e-13 at d = 2000)
+        # relative to sum_j |a_j f_j| sup|e_j|; the gridding error of
+        # forward_eval (at most 3.3e-14) dominates the table's
         coef = np.abs(prob.a * f)
-        assert err <= 1e-12 * (coef[0] + np.sqrt(2.0) * coef[1:].sum())
+        assert err <= 1e-13 * (coef[0] + np.sqrt(2.0) * coef[1:].sum())
 
 
 def test_hilbert_scale_norm():

@@ -84,37 +84,44 @@ def test_weighted_table_matches_direct_cos():
 
 def test_table_equals_a_per_column_loop():
     # the table fills a transposed buffer; its values must be exactly
-    # those of the column-by-column recurrence
+    # those of the column-by-column rotation z -> z exp(i pi x)
     rng = np.random.default_rng(4)
     for m, d in [(1, 1), (9, 1), (9, 2), (31, 64), (31, 65), (200, 300)]:
         x = rng.random(m)
         w = rng.standard_normal(d)
         want = np.empty((m, d))
-        want[:, 0] = w[0]
-        c = np.cos(np.pi * x)
-        prev2, prev1 = np.ones(m), c
-        if d > 1:
-            want[:, 1] = w[1] * c
-        for j in range(2, d):
-            if j % sampling._BLOCK < 2:
-                cur = np.cos((j * np.pi) * x)
-            else:
-                cur = 2.0 * c * prev1 - prev2
-            want[:, j] = w[j] * cur
-            prev2, prev1 = prev1, cur
+        step = np.exp(1j * np.pi * x)
+        z = np.ones(m, dtype=complex)
+        for j in range(d):
+            want[:, j] = w[j] * z.real
+            z = z * step
         got = _weighted_cosine_table(x, w)
         assert got.shape == (m, d)
         assert np.array_equal(got, want)
 
 
-def test_table_blocked_recurrence_stays_accurate_at_large_d():
-    # d far beyond the reseed block, x near the endpoints where the
-    # three-term recurrence is most delicate
+def test_table_stays_accurate_at_large_d_near_the_endpoints():
+    # d in the thousands, x at and near the endpoints, where every
+    # cos(j pi x) is close to +-1
     x = np.array([0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0])
     w = np.ones(4096)
     got = _weighted_cosine_table(x, w)
     want = _direct_table(x, w)
     assert np.abs(got - want).max() <= 5e-12
+
+
+def test_table_matches_exact_argument_cosines():
+    # at dyadic x = k / 2^20 every j * x is exact, so reducing it mod 2
+    # before the one rounding of pi * (j x mod 2) gives cos(j pi x) to
+    # within a few eps at every j; the rotation's error grows like j * eps
+    for d in (512, 2000, 4096):
+        k = np.random.default_rng(d).integers(0, 2**20 + 1, size=300)
+        k[:2] = 0, 2**20
+        x = k / 2.0**20
+        want = np.cos(np.pi * np.mod(np.outer(x, np.arange(d)), 2.0))
+        got = _weighted_cosine_table(x, np.ones(d))
+        err = np.abs(got - want).max()
+        assert err <= 4 * d * 2.0**-52, f"table deviates by {err} at d={d}"
 
 
 def test_crossprod_and_gram_match_dense_products():
