@@ -13,7 +13,15 @@ its step count) on the factored T_x that ``crossprod`` returns, as
 ``eigh route`` rows time the dense route that ``estimate`` takes for
 the other filters and for a PCG that reaches its step cap (assembly of
 T_x, its clamped eigendecomposition and the Tikhonov filter on its
-eigenvalues), on criterion-10 cells at the power-table lambda:
+eigenvalues), on criterion-10 cells at the power-table lambda.  The
+m < d rows time the three Tikhonov solves of ``estimate``'s m < d
+branch on the whole table: the ``SVD route`` (the direct SVD of
+Phi / sqrt(m), taken at m*d <= ``_SVD_DIRECT_LIMIT``), ``Gram + solve``
+(the m-by-m Gram matrix and ``np.linalg.solve``, taken above the
+limit) and ``Gram + eigh`` (its clamped eigendecomposition and the
+filter, the route of the other filters above the limit), each with its
+largest entrywise gap to the SVD route's answer, relative to that
+answer's largest entry:
 
     python3 benchmarks/bench_kernels.py
 
@@ -30,6 +38,9 @@ TABLE_SIZES = [(1024, 128), (4096, 512), (2048, 2000), (16384, 1024)]
 COSINE_SUM_SIZES = [(512, 2000), (2048, 2000), (4096, 256), (16384, 512)]
 CROSSPROD_SIZES = [(4096, 256), (2048, 2000), (16384, 512)]
 SOLVE_SIZES = [(2048, 2000), (16384, 2000), (16384, 512)]
+# rate_regular's SVD cell, criterion 10's SVD cell (m*d at the limit)
+# and rate_regular's Gram cell
+DUAL_SIZES = [(64, 256), (256, 1024), (512, 2000)]
 REPEATS = 7
 
 
@@ -49,8 +60,8 @@ def run():
     from scalereg import (LambdaRule, PowerProblemSpec, design_matrix,
                           filter_values, make_filter, sample_dataset)
     from scalereg.model import _cosine_sum
-    from scalereg.sampling import (_clamped_eigh, _design_weights, _pcg,
-                                   _weighted_cosine_table, crossprod)
+    from scalereg.sampling import (_clamped_eigh, _pcg, _sample_sums,
+                                   _weighted_cosine_table, crossprod, gram)
 
     tikhonov = make_filter("tikhonov")
 
@@ -58,6 +69,24 @@ def run():
         evals, V = _clamped_eigh(op.toarray(), prob.kappa_sq)
         g = filter_values(tikhonov, lam, evals, prob.kappa_sq)
         return V @ (g * (V.T @ b))
+
+    def svd_route(phi, y, lam, prob):
+        m = phi.shape[0]
+        _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
+        g = filter_values(tikhonov, lam, s * s, prob.kappa_sq)
+        return Wt.T @ (g * (Wt @ (phi.T @ y / m)))
+
+    def gram_solve_route(phi, y, lam, prob):
+        m = phi.shape[0]
+        G = gram(phi) / m
+        G[np.diag_indices_from(G)] += lam
+        return phi.T @ np.linalg.solve(G, y) / m
+
+    def gram_eigh_route(phi, y, lam, prob):
+        m = phi.shape[0]
+        evals, U = _clamped_eigh(gram(phi) / m, prob.kappa_sq)
+        g = filter_values(tikhonov, lam, evals, prob.kappa_sq)
+        return phi.T @ (U @ (g * (U.T @ y))) / m
 
     rng = np.random.Generator(np.random.Philox(0))
     rows = []
@@ -80,15 +109,16 @@ def run():
         rows.append({"kernel": "phi.T @ phi", "shape": f"{m}x{d}",
                      "seconds": _best_of(lambda: phi.T @ phi)})
     rule = LambdaRule("power_table", {"case": "regular"})
-    for m, d in SOLVE_SIZES:
+
+    def cell(m, d):
         prob = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0,
                                 d_override=d).build(m, 0)
-        ds = sample_dataset(prob, m, 0)
-        lam = rule.resolve(prob, m)
-        phi = design_matrix(prob, ds.x)
-        op = crossprod(phi, _design_weights(prob)) / m
+        return prob, sample_dataset(prob, m, 0), rule.resolve(prob, m)
+
+    for m, d in SOLVE_SIZES:
+        prob, ds, lam = cell(m, d)
+        op, b = _sample_sums(prob, ds.x, ds.y)
         T = op.toarray()
-        b = phi.T @ ds.y / m
         rows.append({"kernel": "eigh route", "shape": f"{m}x{d}",
                      "seconds": _best_of(
                          lambda: eigh_route(op, lam, b, prob))})
@@ -96,11 +126,24 @@ def run():
             rows.append({"kernel": name, "shape": f"{m}x{d}",
                          "seconds": _best_of(lambda: _pcg(A, lam, b, prob.t)),
                          "steps": _pcg(A, lam, b, prob.t)[1]})
+    for m, d in DUAL_SIZES:
+        prob, ds, lam = cell(m, d)
+        phi = design_matrix(prob, ds.x)
+        ref = svd_route(phi, ds.y, lam, prob)
+        for name, route in (("SVD route", svd_route),
+                            ("Gram + solve", gram_solve_route),
+                            ("Gram + eigh", gram_eigh_route)):
+            gap = np.max(np.abs(route(phi, ds.y, lam, prob) - ref))
+            rows.append({"kernel": name, "shape": f"{m}x{d}",
+                         "seconds": _best_of(
+                             lambda: route(phi, ds.y, lam, prob)),
+                         "gap": gap / np.max(np.abs(ref))})
     print(f"{'kernel':22s} {'shape':>10s} {'ms':>8s}")
     for row in rows:
         steps = f"  {row['steps']} steps" if "steps" in row else ""
+        gap = f"  gap {row['gap']:.1e}" if "gap" in row else ""
         print(f"{row['kernel']:22s} {row['shape']:>10s} "
-              f"{row['seconds'] * 1e3:8.3f}{steps}")
+              f"{row['seconds'] * 1e3:8.3f}{steps}{gap}")
 
 
 def main():

@@ -116,6 +116,11 @@ def _check_zeta(zeta: IndexFunction, t_max: float) -> IndexFunction:
     return zeta
 
 
+def _scaled_norm(V, f, scale) -> float:
+    """Spectral norm of V diag(f) V^T times ``scale`` entrywise."""
+    return float(np.linalg.norm(((V * f) @ V.T) * scale, 2))
+
+
 def _xi_given_eig(w, V, t, lam: float, zeta: IndexFunction) -> float:
     """Largest singular value of zeta(T_x+lam)^{-1} zeta(T+lam).
 
@@ -124,8 +129,7 @@ def _xi_given_eig(w, V, t, lam: float, zeta: IndexFunction) -> float:
     """
     inv = 1.0 / np.asarray(zeta(w + lam), dtype=np.float64)
     right = np.asarray(zeta(t + lam), dtype=np.float64)
-    prod = ((V * inv) @ V.T) * right[None, :]
-    return float(np.linalg.norm(prod, 2))
+    return _scaled_norm(V, inv, right[None, :])
 
 
 def compute_xi(problem: SpectralProblem, x, lam: float,
@@ -158,8 +162,10 @@ def bound_appendix(quantity: str, lam: float, m: int, eta: float,
     """Closed-form (1 - eta)-confidence bound for the named quantity.
 
     constants carries kappa, kappa_tilde, M, Sigma, effdim_T, effdim_L;
-    XI_S additionally uses the exponent ``s``.  XI_ZETA composes the
-    UPSILON bound with the envelope (Upsilon/sqrt(lam) + 1)^2.
+    XI_S additionally uses the exponent ``s``.  PSI, UPSILON and LAMBDA_Q
+    share the Bernstein-type form 2 (A / (m sqrt(lam)) + sqrt(B^2 N / m))
+    log(2 / eta).  XI_ZETA composes the UPSILON bound with the envelope
+    (Upsilon/sqrt(lam) + 1)^2.
     """
     if not 0 < eta < 1:
         raise ValueError("eta must lie in (0, 1)")
@@ -167,30 +173,27 @@ def bound_appendix(quantity: str, lam: float, m: int, eta: float,
         raise ValueError("lambda must be positive")
     log_term = math.log(2.0 / eta)
     kappa = float(constants["kappa"])
+    n_t = float(constants["effdim_T"])
 
-    def _upsilon() -> float:
-        n_t = float(constants["effdim_T"])
-        return 2.0 * (kappa ** 2 / (m * math.sqrt(lam))
-                      + math.sqrt(kappa ** 2 * n_t / m)) * log_term
+    def bernstein(a: float, b_sq: float, n_eff: float) -> float:
+        return 2.0 * (a / (m * math.sqrt(lam))
+                      + math.sqrt(b_sq * n_eff / m)) * log_term
 
+    upsilon = bernstein(kappa ** 2, kappa ** 2, n_t)
     if quantity == "PSI":
-        n_t = float(constants["effdim_T"])
-        big_m, big_s = float(constants["M"]), float(constants["Sigma"])
-        return 2.0 * (kappa * big_m / (m * math.sqrt(lam))
-                      + math.sqrt(big_s ** 2 * n_t / m)) * log_term
+        return bernstein(kappa * float(constants["M"]),
+                         float(constants["Sigma"]) ** 2, n_t)
     if quantity == "UPSILON":
-        return _upsilon()
+        return upsilon
     if quantity == "TX_DEV":
         return 2.0 * (kappa ** 2 / m + kappa ** 2 / math.sqrt(m)) * log_term
     if quantity == "LAMBDA_Q":
         kt = float(constants["kappa_tilde"])
-        n_l = float(constants["effdim_L"])
-        return 2.0 * (kt ** 2 / (m * math.sqrt(lam))
-                      + math.sqrt(kt ** 2 * n_l / m)) * log_term
+        return bernstein(kt ** 2, kt ** 2, float(constants["effdim_L"]))
     if quantity == "XI_S":
         return ((2.0 * kappa + 1.0) ** 2 * log_term) ** (2.0 * s)
     if quantity == "XI_ZETA":
-        return (_upsilon() / math.sqrt(lam) + 1.0) ** 2
+        return (upsilon / math.sqrt(lam) + 1.0) ** 2
     raise ValueError(f"unknown quantity {quantity!r}; expected one of "
                      f"{QUANTITIES}")
 
@@ -358,8 +361,7 @@ def check_lemma_envelope(problem: SpectralProblem, dataset: Dataset,
 
     rv = residual_values(filt, lam, w, problem.kappa_sq)
     l = problem.l
-    mat = ((V * rv) @ V.T) * (l[None, :] / l[:, None])
-    lhs = float(np.linalg.norm(mat, 2))
+    lhs = _scaled_norm(V, rv, l[None, :] / l[:, None])
 
     lam_q = vals["LAMBDA_Q"]
     rho_lam = lam ** a

@@ -106,10 +106,8 @@ def distance_fn_q(problem: SpectralProblem, q: float,
 def distance_curve(problem: SpectralProblem, Rs,
                    q: float | None = None) -> DistanceCurve:
     Rs = np.asarray(Rs, dtype=np.float64)
-    if q is None:
-        vals = np.array([distance_fn(problem, float(R)).d_value for R in Rs])
-        return DistanceCurve(Rs, vals)
-    vals = np.array([distance_fn_q(problem, q, float(R)).d_value
+    vals = np.array([(distance_fn(problem, float(R)) if q is None
+                      else distance_fn_q(problem, q, float(R))).d_value
                      for R in Rs])
     return DistanceCurve(Rs, vals)
 

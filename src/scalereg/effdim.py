@@ -42,8 +42,7 @@ def effdim_curve(spectrum, lambda_lo: float, lambda_hi: float,
     decades = np.log10(lambda_hi / lambda_lo)
     n = max(2, int(round(points_per_decade * decades)) + 1)
     lams = np.geomspace(lambda_lo, lambda_hi, n)
-    t = np.asarray(spectrum, dtype=np.float64)
-    vals = (t[None, :] / (t[None, :] + lams[:, None])).sum(axis=1)
+    vals = np.array([effdim(spectrum, lam) for lam in lams])
     return EffDimCurve(lambdas=lams, values=vals)
 
 

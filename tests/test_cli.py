@@ -315,6 +315,21 @@ def test_rate_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_rate_degenerate_fit_exit_code(tmp_path, capsys):
+    # noiseless cutoff recovery puts every error at machine zero: the run
+    # exits 2, says so, and its plot carries the theory line but no fit
+    doc = dict(SMALL_RATE, filter="cutoff",
+               problem=dict(SMALL_RATE["problem"], sigma=0.0, d=16),
+               lambda_rule={"kind": "fixed", "params": {"value": 1e-3}},
+               seed=0)
+    out = tmp_path / "out"
+    assert main(["rate", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert "degenerate fit" in capsys.readouterr().out
+    svg = (out / "rate.svg").read_text()
+    assert ">theory " in svg and ">fit " not in svg
+
+
 def test_set_override_changes_seed(tmp_path):
     cfg = _write(tmp_path, "cfg.json", SMALL_RATE)
     out = tmp_path / "out"

@@ -29,6 +29,10 @@ def test_balance_warns_and_saturates_when_m_too_small():
     with pytest.warns(UserWarning):
         lam = lambda_balance_effdim(t, 3)
     assert lam == 1.0
+    # the other edge: N stays below m * lambda down to the floor
+    with pytest.warns(UserWarning, match="floor"):
+        lam = lambda_balance_effdim(np.array([1e-30]), 1)
+    assert lam == LAMBDA_FLOOR
 
 
 @given(st.integers(min_value=2, max_value=10 ** 7),
@@ -127,6 +131,9 @@ def test_rule_names_and_resolve():
         lambda_balance_effdim(prob.t, 4096))
     table = LambdaRule("power_table", {"case": "oversmoothing"})
     assert table.resolve(prob, 4096) == pytest.approx(4096.0 ** (-2.0 / 3.0))
+    general = LambdaRule("balance_general")
+    assert general.resolve(prob, 4096) == lambda_balance_general(
+        prob.t, prob.smoothness, 4096)
     with pytest.raises(ValueError):
         LambdaRule("newton", {})
     with pytest.raises(ValueError):

@@ -88,6 +88,16 @@ def test_truncation_dim():
         truncation_dim(0, 1.0)
 
 
+def test_truncation_dim_caps_where_the_power_overflows():
+    # 16384^(1/0.002) is beyond the float range; d is the cap
+    assert truncation_dim(16384, 0.001) == 2000
+    for m in (1, 2, 64, 256, 2048, 16384):
+        for s in (0.01, 0.05, 0.25, 0.5, 1.0, 2.0):
+            power = 4 * math.ceil(m ** (1.0 / (2.0 * s)))
+            want = int(min(2000, max(64, power)))
+            assert truncation_dim(m, s) == want, (m, s)
+
+
 def test_problem_spec_build_and_dict():
     spec = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1)
     prob = spec.build(1024, seed=0)

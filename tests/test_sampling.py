@@ -193,7 +193,7 @@ def test_operator_matvec_matches_dense_and_direct_cos(d, below):
     x = rng.random(m)
     x[0], x[-1] = 0.0, 1.0
     w = _design_weights(prob)
-    T = crossprod(design_matrix(prob, x), w) / m
+    T = sampling._sample_sums(prob, x)[0]
     direct = np.cos(np.pi * np.outer(x, np.arange(d))) * w
     for p in (rng.standard_normal(d), np.ones(d)):
         got = T @ p
@@ -203,13 +203,14 @@ def test_operator_matvec_matches_dense_and_direct_cos(d, below):
 
 
 def test_operator_divisor_is_applied_last():
-    # (op / m).toarray() is the assembled phi^T phi divided by m
+    # the operator with divisor m assembles to phi^T phi, then divided by m
     prob = _problem(d=9)
     x = np.random.default_rng(4).random(20)
     op = crossprod(design_matrix(prob, x), _design_weights(prob))
     dense = op.toarray()
     dense /= 20
-    assert np.array_equal((op / 20).toarray(), dense)
+    divided = sampling._ToeplitzHankel(op.s, op.w, 20)
+    assert np.array_equal(divided.toarray(), dense)
     assert np.array_equal(empirical_cov(prob, x), dense)
 
 
@@ -282,7 +283,7 @@ def test_block_sums_match_the_whole_table(m):
     w = _design_weights(prob)
     phi = design_matrix(prob, x)
     T, b = sampling._sample_sums(prob, x, y)
-    whole = ((crossprod(phi, w) / m).toarray(), phi.T @ y / m)
+    whole = (crossprod(phi, w).toarray() / m, phi.T @ y / m)
     for got, want in zip((T.toarray(), b), whole):
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel <= 1e-13, f"relative deviation {rel} at m={m}"
