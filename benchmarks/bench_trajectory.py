@@ -4,7 +4,9 @@
 
 The entry records what this tree measures and what it was measured on:
 
-- the git SHA, and whether ``src/`` differs from it (``dirty``);
+- the git SHA, and whether ``src/`` or ``perfbench/`` differs from it
+  (``dirty``): an edited file or an untracked one under either makes
+  the entry dirty, since either changes what the benchmark measures;
 - the core count, the CPU, the OpenBLAS version and its thread count;
 - per perfbench workload, the untraced median command time ``wall_s``,
   the untraced run's ``peak_rss_mb`` and the traced per-layer self
@@ -140,8 +142,8 @@ def main() -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     entry = {"git_sha": _git("rev-parse", "HEAD"),
-             "dirty": bool(_git("status", "--porcelain",
-                                "--untracked-files=no", "--", "src")),
+             "dirty": bool(_git("status", "--porcelain", "--",
+                                "src", "perfbench")),
              "date": datetime.datetime.now(datetime.timezone.utc)
              .isoformat(timespec="seconds")}
     entry.update(perfbench_entry())

@@ -19,8 +19,7 @@ from .filters import (FILTER_NAMES, ConstantsReport, FilterFamily, PropReport,
                       check_qualification, check_regularization_constants,
                       filter_values, landweber_iterations, make_filter,
                       residual_values)
-from .harness import (ExperimentConfig, RateReport, config_hash,
-                      run_rate_experiment)
+from .harness import ExperimentConfig, RateReport, run_rate_experiment
 from .indexfn import (IndexFunction, check_index_function, check_sublinear,
                       power_fn)
 from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,

@@ -36,7 +36,7 @@ from .harness import ExperimentConfig, run_rate_experiment
 from .indexfn import IndexFunction, power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule
 from .mercer import K2_NOTE, mercer_decompose
-from .model import FieldError, PowerProblemSpec
+from .model import FieldError, PowerProblemSpec, _integral
 from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
                         write_curve_csv, write_json, write_manifest,
                         write_rate_csv)
@@ -77,14 +77,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(val) -> int:
-    """A JSON integer, or a float with an integral value, as an int.
-    true/false and 1.5 are refused: truncating would run with a value
-    the config did not ask for."""
-    if isinstance(val, float) and val.is_integer():
-        return int(val)
-    if isinstance(val, int) and not isinstance(val, bool):
-        return val
-    raise ValueError
+    """A JSON value that ``model._integral`` admits, as an int."""
+    if not _integral(val):
+        raise ValueError
+    return int(val)
 
 
 def _number(val) -> float:

@@ -9,8 +9,6 @@ the closed-form theoretical one.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +19,8 @@ from .effdim import _wls_line
 from .filters import check_covering, make_filter
 from .indexfn import power_fn
 from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
-from .model import CASES, FieldError, PowerProblemSpec, SpectralProblem
+from .model import (CASES, FieldError, PowerProblemSpec, SpectralProblem,
+                    _integral)
 from .sampling import _trial_seeds, errors, estimate, sample_dataset
 
 DEFAULT_TOLERANCE = 0.08
@@ -49,6 +48,8 @@ class ExperimentConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        if not all(map(_integral, self.m_grid)):
+            raise FieldError("m_grid", "m_grid entries must be integers")
         ms = tuple(int(m) for m in self.m_grid)
         object.__setattr__(self, "m_grid", ms)
         if len(ms) < 2 or any(b <= a for a, b in zip(ms, ms[1:])):
@@ -58,8 +59,14 @@ class ExperimentConfig:
         if math.log10(ms[-1] / ms[0]) < 1.5:
             raise FieldError("m_grid",
                              "m_grid must span at least 1.5 decades")
+        if not _integral(self.trials_per_m):
+            raise FieldError("trials_per_m", "trials_per_m must be an integer")
         if self.trials_per_m < 10:
             raise FieldError("trials_per_m", "trials_per_m must be >= 10")
+        if not (_integral(self.seed) and self.seed >= 0):
+            raise FieldError("seed", "seed must be an integer >= 0")
+        object.__setattr__(self, "trials_per_m", int(self.trials_per_m))
+        object.__setattr__(self, "seed", int(self.seed))
         if self.error_norm != "h":
             raise FieldError("error_norm", "error_norm must be 'h', got "
                              f"{self.error_norm!r}")
@@ -105,11 +112,6 @@ class ExperimentConfig:
                 "tolerance": self.tolerance}
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    doc = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
 @dataclass(frozen=True)
 class RateReport:
     per_m: tuple
@@ -141,8 +143,13 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     PCG reached its step cap, so that the eigh route answered, counts as
     infinitely many), a per-cell reading of
     the hypothesis N(lambda) <= m lambda.
-    Aborts on any NaN error with the cell named.
+    Aborts on any NaN error with the cell named.  ``config_hash`` is
+    the digest that the run's manifest records as ``config_sha256``.
     """
+    # imported here: reporting reads the package's __version__, which
+    # is not yet set while the package imports this module
+    from .reporting import sha256_of
+
     filt = make_filter(config.filter_id)
     sm = config.problem
     theo = theoretical_exponent(sm.a_link, sm.b, sm.r, sm.q, config.case)
@@ -199,4 +206,5 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     passed = not degenerate and abs(slope - theo) <= config.tolerance
     return RateReport(per_m=per_m, fitted_exponent=slope, fit_stderr=stderr,
                       theoretical_exponent=theo, passed=passed,
-                      config_hash=config_hash(config), degenerate=degenerate)
+                      config_hash=sha256_of(config.to_dict()),
+                      degenerate=degenerate)

@@ -74,13 +74,6 @@ def lambda_balance_effdim(spectrum, m: int) -> float:
     return _balance(spectrum, m, 1.0)
 
 
-def _power_law(m: int, e: float) -> float:
-    """lambda = m^e, clamped to [LAMBDA_FLOOR, 1]."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return min(max(float(m) ** e, LAMBDA_FLOOR), 1.0)
-
-
 def lambda_balance_general(spectrum, spec: PowerProblemSpec,
                            m: int) -> float:
     """Root of m * lambda^(2a(r-1)+1) = N(lambda) on (0, 1]: for
@@ -133,8 +126,11 @@ def _rate_law(a: float, b: float, r: float, q: float, case: str) -> float:
 def lambda_power_table(a: float, b: float, r: float, q: float, m: int,
                        case: str) -> float:
     """Closed-form lambda(m) = m^e of the rate table, e from
-    ``_rate_law``."""
-    return _power_law(m, _rate_law(a, b, r, q, case))
+    ``_rate_law``, clamped to [LAMBDA_FLOOR, 1]."""
+    e = _rate_law(a, b, r, q, case)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return min(max(float(m) ** e, LAMBDA_FLOOR), 1.0)
 
 
 def theoretical_exponent(a: float, b: float, r: float, q: float,

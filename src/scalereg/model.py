@@ -16,6 +16,7 @@ power-type family: its smoothness, its noise, its truth and d(m).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -39,6 +40,15 @@ class FieldError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(message)
         self.field = field
+
+
+def _integral(val) -> bool:
+    """Whether ``val`` is an integer, or a float with an integral value
+    (4.0).  true/false and 1.5 are not: reading them as 1, 0 and 1
+    would run with a value that the config did not ask for."""
+    if isinstance(val, numbers.Integral):
+        return not isinstance(val, bool)
+    return isinstance(val, numbers.Real) and float(val).is_integer()
 
 
 @dataclass(frozen=True)
@@ -125,8 +135,13 @@ class PowerProblemSpec:
         if not 0 < self.s < math.inf:
             raise FieldError("s", "s must be in (0, inf)")
         object.__setattr__(self, "noise", NoiseModel(self.sigma))
-        if self.d_override is not None and not self.d_override >= 2:
-            raise FieldError("d", "d must be >= 2")
+        if self.d_override is not None:
+            if not _integral(self.d_override):
+                raise FieldError("d", "d must be an integer, got "
+                                 f"{self.d_override!r}")
+            if not self.d_override >= 2:
+                raise FieldError("d", "d must be >= 2")
+            object.__setattr__(self, "d_override", int(self.d_override))
         if self.v_pattern not in V_PATTERNS:
             raise FieldError("v_pattern",
                              f"v_pattern must be one of {V_PATTERNS}")

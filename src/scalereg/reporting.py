@@ -67,24 +67,27 @@ def _f(v) -> str:
 
 # ---------------------------------------------------------------- CSV
 
-def write_curve_csv(path, header, xs, ys) -> None:
-    """Two float columns under ``header``, one row per (x, y) pair."""
+def _write_csv(path, header, rows, footer=()) -> None:
+    """``header`` and ``rows`` as CSV lines, then one '# key,value' line
+    per (key, value) pair of ``footer``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for x, y in zip(xs, ys):
-            w.writerow((_f(x), _f(y)))
+        w.writerows(rows)
+        fh.writelines(f"# {key},{val}\n" for key, val in footer)
+
+
+def write_curve_csv(path, header, xs, ys) -> None:
+    """Two float columns under ``header``, one row per (x, y) pair."""
+    _write_csv(path, header, ((_f(x), _f(y)) for x, y in zip(xs, ys)))
 
 
 def write_bounds_csv(path, reports) -> None:
     """One row per BoundCheckReport."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(BOUNDS_HEADER)
-        for rep in reports:
-            w.writerow((rep.quantity, _f(rep.lam), str(rep.m), _f(rep.eta),
-                        str(rep.trials), _f(rep.empirical_quantile),
-                        _f(rep.bound_value), _f(rep.coverage)))
+    _write_csv(path, BOUNDS_HEADER,
+               ((rep.quantity, _f(rep.lam), str(rep.m), _f(rep.eta),
+                 str(rep.trials), _f(rep.empirical_quantile),
+                 _f(rep.bound_value), _f(rep.coverage)) for rep in reports))
 
 
 def write_rate_csv(path, report) -> None:
@@ -95,23 +98,17 @@ def write_rate_csv(path, report) -> None:
     eigh route answered).
     """
     doc = report.to_dict()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(RATE_HEADER)
-        for row in doc["per_m"]:
-            w.writerow((str(row["m"]), _f(row["lambda_used"]),
-                        _f(row["mean_error"]), _f(row["median_error"]),
-                        _f(row["std_error"]),
-                        _f(row["cg_steps"])))
-        for key in _RATE_FOOTER_KEYS:
-            val = doc[key]
-            if isinstance(val, bool):
-                tok = "true" if val else "false"
-            elif isinstance(val, str):
-                tok = val
-            else:
-                tok = _f(val) if val is not None else "nan"
-            fh.write(f"# {key},{tok}\n")
+    rows = ((str(row["m"]), _f(row["lambda_used"]), _f(row["mean_error"]),
+             _f(row["median_error"]), _f(row["std_error"]),
+             _f(row["cg_steps"])) for row in doc["per_m"])
+
+    def token(val) -> str:
+        if isinstance(val, bool):
+            return "true" if val else "false"
+        return val if isinstance(val, str) else _f(val)
+
+    _write_csv(path, RATE_HEADER, rows,
+               ((key, token(doc[key])) for key in _RATE_FOOTER_KEYS))
 
 
 # ------------------------------------------------------------ manifest
@@ -133,7 +130,7 @@ def manifest(config_doc, seed) -> dict:
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__,
                          "scipy": _pkg_version("scipy"),
-                         "scalereg": _pkg_version("scalereg") or __version__}}
+                         "scalereg": __version__}}
 
 
 def write_manifest(path, config_doc, seed) -> None:

@@ -217,7 +217,19 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
              "/zeta/left/nu"),
             # phi_inverse is not a rule kind
             ("rate", SMALL_RATE, "lambda_rule.kind=phi_inverse",
-             "/lambda_rule/kind")]:
+             "/lambda_rule/kind"),
+            # an override needs key=value, and no object inside a number
+            ("rate", SMALL_RATE, "foo", "/"),
+            ("rate", SMALL_RATE, "problem.s.x=1", "/problem/s/x"),
+            # the document is an object
+            ("rate", [SMALL_RATE], "seed=1", "/"),
+            # the curve runs from lambda_lo up to lambda_hi
+            ("effdim", SMALL_EFFDIM, "lambda_lo=0.5", "/lambda_lo"),
+            # distance needs a concrete dimension
+            ("distance", {"problem": {k: v for k, v
+                                      in SMALL_BOUNDS["problem"].items()
+                                      if k != "d"}, "R_values": [0.5]},
+             "seed=1", "/problem/d")]:
         cfg = _write(tmp_path, "cfg.json", doc)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out),
@@ -276,7 +288,10 @@ def test_rate_end_to_end(tmp_path, capsys):
     assert f"# fitted_exponent,{report['fitted_exponent']!r}" in csv_lines
     assert (out / "rate.svg").read_text().startswith("<svg")
     man = json.loads((out / "manifest.json").read_text())
-    assert man["seed"] == 5 and "config_sha256" in man
+    assert man["seed"] == 5
+    # the report and the manifest carry one digest of the config
+    assert report["config_hash"] == man["config_sha256"]
+    assert f"# config_hash,{man['config_sha256']}" in csv_lines
 
 
 def test_rate_reruns_are_byte_identical(tmp_path):

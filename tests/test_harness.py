@@ -7,7 +7,6 @@ from scalereg import (
     ExperimentConfig,
     LambdaRule,
     PowerProblemSpec,
-    config_hash,
     errors,
     estimate,
     lambda_power_table,
@@ -17,6 +16,8 @@ from scalereg import (
     theoretical_exponent,
 )
 from scalereg.harness import _wls_line
+from scalereg.model import FieldError
+from scalereg.reporting import sha256_of
 
 
 def _small_config(**kw):
@@ -97,13 +98,33 @@ def test_config_validation():
         _small_config(tolerance=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m_grid", (64.9, 4096.5)), ("m_grid", (True, 64, 4096)),
+    ("trials_per_m", 10.5), ("seed", 1.5), ("seed", True), ("seed", -1)])
+def test_counts_are_refused_at_their_field(field, value):
+    # a truncated count would run with a value the config did not ask
+    # for, and a bool or a negative seed would fail only at run time
+    with pytest.raises(FieldError) as exc:
+        _small_config(**{field: value})
+    assert exc.value.field == field
+
+
+def test_integral_floats_are_counts():
+    cfg = _small_config(m_grid=(64.0, np.int64(4096)), trials_per_m=10.0,
+                        seed=5.0)
+    assert cfg == _small_config(m_grid=(64, 4096))
+    assert all(type(v) is int for v in (*cfg.m_grid, cfg.trials_per_m,
+                                        cfg.seed))
+
+
 def test_config_hash_stable_and_sensitive():
+    # the report's config_hash is this digest of the config's dict
     c1 = _small_config()
     c2 = _small_config()
     c3 = _small_config(seed=6)
-    assert config_hash(c1) == config_hash(c2)
-    assert config_hash(c1) != config_hash(c3)
-    assert len(config_hash(c1)) == 64
+    assert sha256_of(c1.to_dict()) == sha256_of(c2.to_dict())
+    assert sha256_of(c1.to_dict()) != sha256_of(c3.to_dict())
+    assert len(sha256_of(c1.to_dict())) == 64
 
 
 def test_case_owns_the_power_table_rule():
@@ -112,7 +133,7 @@ def test_case_owns_the_power_table_rule():
     for rule in (None, LambdaRule("power_table")):
         cfg = _small_config(lambda_rule=rule)
         assert cfg.lambda_rule == table
-        assert config_hash(cfg) == config_hash(written)
+        assert cfg.to_dict() == written.to_dict()
     regular = _small_config(
         problem=PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=2.0),
         lambda_rule=None, case="regular")
@@ -128,7 +149,7 @@ def test_small_experiment_is_deterministic_and_plausible():
     cfg = _small_config()
     rep1 = run_rate_experiment(cfg)
     rep2 = run_rate_experiment(cfg)
-    assert rep1.config_hash == config_hash(cfg)
+    assert rep1.config_hash == sha256_of(cfg.to_dict())
     assert rep1.fitted_exponent == rep2.fitted_exponent
     assert rep1.per_m == rep2.per_m
     assert not rep1.degenerate
@@ -138,6 +159,21 @@ def test_small_experiment_is_deterministic_and_plausible():
     lams = [row["lambda_used"] for row in rep1.per_m]
     np.testing.assert_allclose(lams, [m ** (-2.0 / 3.0)
                                       for m in cfg.m_grid], rtol=1e-12)
+
+
+def test_non_finite_error_aborts_naming_the_cell(monkeypatch):
+    # the thirteenth trial is the third of the second cell (m = 128)
+    import scalereg.harness as harness
+    calls = []
+
+    def errors_with_one_inf(problem, est):
+        calls.append(None)
+        return {"h_norm": math.inf if len(calls) == 13 else 1.0}
+
+    monkeypatch.setattr(harness, "errors", errors_with_one_inf)
+    with pytest.raises(RuntimeError, match=r"cell m=128, trial=2$"):
+        run_rate_experiment(_small_config())
+    assert len(calls) == 13
 
 
 def test_uncovered_smoothness_is_refused():

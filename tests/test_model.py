@@ -6,6 +6,7 @@ import pytest
 from scalereg import (
     NoiseModel,
     PowerProblemSpec,
+    SpectralProblem,
     build_power_problem,
     design_matrix,
     forward_eval,
@@ -117,6 +118,28 @@ def test_problem_spec_build_and_dict():
     for kw in ({"d_override": 0}, {"d_override": 1}, {"sigma": -1.0}):
         with pytest.raises(ValueError, match="d must|sigma"):
             PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, **kw)
+
+
+def test_problem_spec_d_is_an_integer():
+    # 64.5 would fail inside numpy at build time; 64.0 is the count 64
+    with pytest.raises(FieldError, match="d must be an integer") as exc:
+        PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, d_override=64.5)
+    assert exc.value.field == "d"
+    spec = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, d_override=64.0)
+    assert type(spec.d_override) is int and spec.build(256, seed=0).d == 64
+
+
+def test_spectral_problem_refusals():
+    ok = dict(d=3, a=np.ones(3), l=np.arange(1.0, 4.0), f_true=np.zeros(3),
+              noise=NoiseModel(0.0))
+    SpectralProblem(**ok)
+    for bad, match in [({"d": 0}, "d must be >= 1"),
+                       ({"f_true": np.zeros(2)}, "f_true must have length"),
+                       ({"a": np.array([1.0, 0.0, 1.0])}, "a_j"),
+                       ({"l": np.array([1.0, -1.0, 2.0])}, "l_j"),
+                       ({"l": np.array([1.0, 3.0, 2.0])}, "nondecreasing")]:
+        with pytest.raises(ValueError, match=match):
+            SpectralProblem(**dict(ok, **bad))
 
 
 def test_kappa_sums():

@@ -64,6 +64,8 @@ def test_design_matrix_row_oracle():
     # a = (1, 1), l = (1, 2); at x = 0 the basis is (1, sqrt(2))
     row = design_matrix(prob, np.array([0.0]))[0]
     np.testing.assert_allclose(row, [1.0, np.sqrt(2.0) / 2.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        design_matrix(prob, np.zeros((1, 1)))
 
 
 def _direct_table(x, w):
