@@ -5,23 +5,20 @@ The ``weighted_cosine_table`` rows time the m-by-d design table and the
 Gaussian gridding, at the rate workloads' shapes.  The
 ``crossprod`` rows time the O(m*d) moment build of the factored
 phi^T phi, its dense assembly ``toarray()``, and the dense
-``phi.T @ phi`` on the same table.  The
-``PCG solve`` rows time the estimator's primal Tikhonov solve
-(conjugate gradients preconditioned with the population operator, with
-its step count) on the factored T_x that ``crossprod`` returns, as
-``estimate`` runs it, next to the same PCG on the dense T_x; the
-``eigh route`` rows time the dense route that ``estimate`` takes for
-the other filters and for a PCG that reaches its step cap (assembly of
-T_x, its clamped eigendecomposition and the Tikhonov filter on its
-eigenvalues), on criterion-10 cells at the power-table lambda.  The
-m < d rows time the three Tikhonov solves of ``estimate``'s m < d
-branch on the whole table: the ``SVD route`` (the direct SVD of
-Phi / sqrt(m), taken at m*d <= ``_SVD_DIRECT_LIMIT``), ``Gram + solve``
-(the m-by-m Gram matrix and ``np.linalg.solve``, taken above the
-limit) and ``Gram + eigh`` (its clamped eigendecomposition and the
-filter, the route of the other filters above the limit), each with its
-largest entrywise gap to the SVD route's answer, relative to that
-answer's largest entry:
+``phi.T @ phi`` on the same table.  The solver rows time ``sampling``'s
+own route functions, the code that ``estimate`` runs, with the Tikhonov
+filter on criterion-10 cells at the power-table lambda.  The
+``PCG solve`` rows time ``_pcg``, the primal Tikhonov solve (with its
+step count), on the factored T_x that ``crossprod`` returns, next to
+the same PCG on the dense T_x; the ``eigh route`` rows time
+``_eigen_filter`` on the assembled T_x, the dense route of the other
+filters and of a PCG that reaches its step cap.  The m < d rows time
+the dual routes on the whole table: the ``SVD route`` (``_dual_svd``,
+taken at m*d <= ``_SVD_DIRECT_LIMIT``), ``Gram + solve``
+(``_dual_gram``, taken above the limit) and ``Gram + eigh``
+(``_eigen_filter`` on the Gram matrix, the route of the other filters
+above the limit), each with its largest entrywise gap to the SVD
+route's answer, relative to that answer's largest entry:
 
     python3 benchmarks/bench_kernels.py
 
@@ -44,9 +41,9 @@ DUAL_SIZES = [(64, 256), (256, 1024), (512, 2000)]
 REPEATS = 7
 
 
-def _best_of(fn, repeats=REPEATS):
+def _best_of(fn):
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -58,35 +55,13 @@ def run():
     import numpy as np
 
     from scalereg import (LambdaRule, PowerProblemSpec, design_matrix,
-                          filter_values, make_filter, sample_dataset)
+                          make_filter, sample_dataset)
     from scalereg.model import _cosine_sum
-    from scalereg.sampling import (_clamped_eigh, _pcg, _sample_sums,
+    from scalereg.sampling import (_dual_gram, _dual_svd, _eigen_filter,
+                                   _pcg, _sample_sums,
                                    _weighted_cosine_table, crossprod, gram)
 
     tikhonov = make_filter("tikhonov")
-
-    def eigh_route(op, lam, b, prob):
-        evals, V = _clamped_eigh(op.toarray(), prob.kappa_sq)
-        g = filter_values(tikhonov, lam, evals, prob.kappa_sq)
-        return V @ (g * (V.T @ b))
-
-    def svd_route(phi, y, lam, prob):
-        m = phi.shape[0]
-        _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
-        g = filter_values(tikhonov, lam, s * s, prob.kappa_sq)
-        return Wt.T @ (g * (Wt @ (phi.T @ y / m)))
-
-    def gram_solve_route(phi, y, lam, prob):
-        m = phi.shape[0]
-        G = gram(phi) / m
-        G[np.diag_indices_from(G)] += lam
-        return phi.T @ np.linalg.solve(G, y) / m
-
-    def gram_eigh_route(phi, y, lam, prob):
-        m = phi.shape[0]
-        evals, U = _clamped_eigh(gram(phi) / m, prob.kappa_sq)
-        g = filter_values(tikhonov, lam, evals, prob.kappa_sq)
-        return phi.T @ (U @ (g * (U.T @ y))) / m
 
     rng = np.random.Generator(np.random.Philox(0))
     rows = []
@@ -120,8 +95,8 @@ def run():
         op, b = _sample_sums(prob, ds.x, ds.y)
         T = op.toarray()
         rows.append({"kernel": "eigh route", "shape": f"{m}x{d}",
-                     "seconds": _best_of(
-                         lambda: eigh_route(op, lam, b, prob))})
+                     "seconds": _best_of(lambda: _eigen_filter(
+                         op.toarray(), b, tikhonov, lam, prob.kappa_sq))})
         for name, A in (("PCG solve, dense T", T), ("PCG solve", op)):
             rows.append({"kernel": name, "shape": f"{m}x{d}",
                          "seconds": _best_of(lambda: _pcg(A, lam, b, prob.t)),
@@ -129,14 +104,16 @@ def run():
     for m, d in DUAL_SIZES:
         prob, ds, lam = cell(m, d)
         phi = design_matrix(prob, ds.x)
-        ref = svd_route(phi, ds.y, lam, prob)
-        for name, route in (("SVD route", svd_route),
-                            ("Gram + solve", gram_solve_route),
-                            ("Gram + eigh", gram_eigh_route)):
-            gap = np.max(np.abs(route(phi, ds.y, lam, prob) - ref))
+        args = (phi, ds.y, tikhonov, lam, prob.kappa_sq)
+        ref = _dual_svd(*args)
+        for name, route in (
+                ("SVD route", lambda: _dual_svd(*args)),
+                ("Gram + solve", lambda: _dual_gram(*args)),
+                ("Gram + eigh", lambda: phi.T @ _eigen_filter(
+                    gram(phi) / m, ds.y, tikhonov, lam, prob.kappa_sq) / m)):
+            gap = np.max(np.abs(route() - ref))
             rows.append({"kernel": name, "shape": f"{m}x{d}",
-                         "seconds": _best_of(
-                             lambda: route(phi, ds.y, lam, prob)),
+                         "seconds": _best_of(route),
                          "gap": gap / np.max(np.abs(ref))})
     print(f"{'kernel':22s} {'shape':>10s} {'ms':>8s}")
     for row in rows:

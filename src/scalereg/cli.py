@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +35,7 @@ from .harness import ExperimentConfig, run_rate_experiment
 from .indexfn import IndexFunction, power_fn
 from .lambda_rules import RULE_NAMES, LambdaRule
 from .mercer import K2_NOTE, mercer_decompose
-from .model import FieldError, PowerProblemSpec, _integral
+from .model import FieldError, PowerProblemSpec, _integral, _real
 from .reporting import (DISTANCE_HEADER, EFFDIM_HEADER, write_bounds_csv,
                         write_curve_csv, write_json, write_manifest,
                         write_rate_csv)
@@ -84,13 +83,11 @@ def _integer(val) -> int:
 
 
 def _number(val) -> float:
-    """A finite JSON number as a float.  true/false, strings ("2" and
-    "nan" included) and nan/inf are refused; an integer beyond the
-    float range raises OverflowError."""
-    if (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val)):
-        return float(val)
-    raise ValueError
+    """A JSON value that ``model._real`` admits, as a float: strings
+    ("2" and "nan" included) are refused too."""
+    if not _real(val):
+        raise ValueError
+    return float(val)
 
 
 def _string(val) -> str:

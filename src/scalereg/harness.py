@@ -20,7 +20,7 @@ from .filters import check_covering, make_filter
 from .indexfn import power_fn
 from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
 from .model import (CASES, FieldError, PowerProblemSpec, SpectralProblem,
-                    _integral)
+                    _integral, _real)
 from .sampling import _trial_seeds, errors, estimate, sample_dataset
 
 DEFAULT_TOLERANCE = 0.08
@@ -72,9 +72,10 @@ class ExperimentConfig:
                              f"{self.error_norm!r}")
         if self.case not in CASES:
             raise FieldError("case", f"case must be one of {CASES}")
-        if not self.tolerance >= 0:
+        if not (_real(self.tolerance) and self.tolerance >= 0):
             raise FieldError("tolerance", "tolerance must be >= 0, got "
                              f"{self.tolerance!r}")
+        object.__setattr__(self, "tolerance", float(self.tolerance))
         rule = self.lambda_rule or LambdaRule("power_table")
         if rule.kind == "power_table":
             own = rule.params.get("case", self.case)

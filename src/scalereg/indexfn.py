@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FieldError
+from .model import FieldError, _real
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,17 @@ class IndexFunction:
 
     def __post_init__(self):
         if self.kind == "power":
-            if not self.exponent > 0:
+            if not (_real(self.exponent) and self.exponent > 0):
                 raise FieldError("exponent",
                                  "power index function needs exponent > 0")
+            object.__setattr__(self, "exponent", float(self.exponent))
         elif self.kind == "log":
-            if not self.p > 0:
+            if not (_real(self.p) and self.p > 0):
                 raise FieldError("p", "log index function needs p > 0")
-            if not self.nu >= 0:
+            if not (_real(self.nu) and self.nu >= 0):
                 raise FieldError("nu", "log index function needs nu >= 0")
+            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "nu", float(self.nu))
         elif self.kind == "product":
             if self.left is None:
                 raise FieldError("left", "product index function needs a "

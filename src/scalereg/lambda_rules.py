@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .effdim import effdim
-from .model import CASES, FieldError, PowerProblemSpec, SpectralProblem
+from .model import (CASES, FieldError, PowerProblemSpec, SpectralProblem,
+                    _real)
 
 LAMBDA_FLOOR = 1e-14
 
@@ -161,9 +162,13 @@ class LambdaRule:
         if self.kind not in RULE_NAMES:
             raise FieldError("kind", f"unknown lambda rule {self.kind!r}; "
                              f"expected one of {RULE_NAMES}")
-        if self.kind == "fixed" and not 0 < self.params.get("value", 0) <= 1:
-            raise FieldError("params/value",
-                             "fixed lambda needs params.value in (0, 1]")
+        if self.kind == "fixed":
+            value = self.params.get("value")
+            if not (_real(value) and 0 < value <= 1):
+                raise FieldError("params/value",
+                                 "fixed lambda needs params.value in (0, 1]")
+            object.__setattr__(self, "params", MappingProxyType(
+                dict(self.params, value=float(value))))
         if (self.kind == "power_table"
                 and self.params.get("case", CASES[0]) not in CASES):
             raise FieldError("params/case",
@@ -172,7 +177,7 @@ class LambdaRule:
     def resolve(self, problem: SpectralProblem, m: int) -> float:
         sm = problem.smoothness
         if self.kind == "fixed":
-            return float(self.params["value"])
+            return self.params["value"]
         if self.kind == "balance_effdim":
             return lambda_balance_effdim(problem.t, m)
         if sm is None:

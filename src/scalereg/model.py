@@ -51,6 +51,19 @@ def _integral(val) -> bool:
     return isinstance(val, numbers.Real) and float(val).is_integer()
 
 
+def _real(val) -> bool:
+    """Whether ``val`` is a finite real number, an int or a float
+    (numpy's included): not true/false, nan, inf or an int beyond the
+    float range.  A bool would run as 1.0 or 0.0 but be kept, and
+    digested, as true or false."""
+    if isinstance(val, bool) or not isinstance(val, numbers.Real):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Observation noise: Gaussian with std ``sigma``.
@@ -65,7 +78,7 @@ class NoiseModel:
     sigma: float
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
+        if not (_real(self.sigma) and self.sigma >= 0):
             raise FieldError("sigma", "sigma must be in [0, inf)")
         object.__setattr__(self, "sigma", float(self.sigma))
 
@@ -123,18 +136,20 @@ class PowerProblemSpec:
     noise: NoiseModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # written as "not lo < x < inf" so that NaN and inf are refused
-        if not 0 < self.r < math.inf:
+        if not (_real(self.r) and self.r > 0):
             raise FieldError("r", "r must be in (0, inf)")
-        if not 0 < self.a_link <= 0.5:
+        if not (_real(self.a_link) and 0 < self.a_link <= 0.5):
             raise FieldError("a_link", "a_link must be in (0, 1/2]")
-        if not 1 <= self.q < math.inf:
+        if not (_real(self.q) and self.q >= 1):
             raise FieldError("q", "q must be in [1, inf)")
-        if not 0 < self.R_dagger < math.inf:
+        if not (_real(self.R_dagger) and self.R_dagger > 0):
             raise FieldError("R_dagger", "R_dagger must be in (0, inf)")
-        if not 0 < self.s < math.inf:
+        if not (_real(self.s) and self.s > 0):
             raise FieldError("s", "s must be in (0, inf)")
         object.__setattr__(self, "noise", NoiseModel(self.sigma))
+        for key in ("s", "a_link", "r", "q", "R_dagger"):
+            object.__setattr__(self, key, float(getattr(self, key)))
+        object.__setattr__(self, "sigma", self.noise.sigma)
         if self.d_override is not None:
             if not _integral(self.d_override):
                 raise FieldError("d", "d must be an integer, got "

@@ -380,61 +380,76 @@ def _pcg(T, lam: float, b: np.ndarray, t: np.ndarray):
     return u, steps
 
 
+def _eigen_filter(S: np.ndarray, rhs: np.ndarray, filt: FilterFamily,
+                  lam: float, kappa_sq: float) -> np.ndarray:
+    """V g_lambda(evals) V^T rhs, for the clamped eigendecomposition
+    (``_clamped_eigh``) of the exactly symmetric S.
+
+    It is the filter applied to the spectrum of a dense operator: T_x at
+    m >= d, for every filter but Tikhonov and for a PCG that reaches
+    ``_PCG_MAX_STEPS``, and the m-by-m Gram matrix of ``_dual_gram``.
+    """
+    evals, V = _clamped_eigh(S, kappa_sq)
+    g = filter_values(filt, lam, evals, kappa_sq)
+    return V @ (g * (V.T @ rhs))
+
+
+def _dual_svd(phi: np.ndarray, y: np.ndarray, filt: FilterFamily,
+              lam: float, kappa_sq: float) -> np.ndarray:
+    """u_hat through the singular system of Phi / sqrt(m), Phi the
+    m-by-d design table with m < d: u = W g_lambda(s^2) W^T Phi^T y / m
+    from a direct (thin) SVD, for every filter."""
+    m = phi.shape[0]
+    _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
+    g = filter_values(filt, lam, s * s, kappa_sq)
+    return Wt.T @ (g * (Wt @ (phi.T @ y / m)))
+
+
+def _dual_gram(phi: np.ndarray, y: np.ndarray, filt: FilterFamily,
+               lam: float, kappa_sq: float) -> np.ndarray:
+    """u_hat through the m-by-m Gram matrix G = Phi Phi^T / m (m < d).
+
+    Tikhonov is u = Phi^T (G + lambda I)^-1 y / m by LU; every other
+    filter is u = Phi^T g_lambda(G) y / m (``_eigen_filter``).  The LU
+    solve uses numpy rather than scipy's Cholesky: numpy and scipy each
+    bundle their own OpenBLAS thread pool, and waking both in one trial
+    costs more than LU's extra flops.
+    """
+    m = phi.shape[0]
+    G = gram(phi) / m
+    if filt.id != "tikhonov":
+        return phi.T @ _eigen_filter(G, y, filt, lam, kappa_sq) / m
+    G[np.diag_indices_from(G)] += lam
+    return phi.T @ np.linalg.solve(G, y) / m
+
+
 def estimate(problem: SpectralProblem, dataset: Dataset,
              filt: FilterFamily, lam: float) -> Estimate:
     """Regularized solution u_hat = g_lambda(T_x) B_x^* y, f_hat = L^-1 u_hat.
 
-    At small m*d with m < d, every filter acts through the singular
-    system of Phi/sqrt(m) from a direct SVD.  Otherwise Tikhonov is one
-    linear solve.  When m >= d it solves (T_x + lambda I) u = B_x^* y by
-    conjugate gradients preconditioned with (T + lambda I)^-1,
-    T = diag(t_j) the population operator, started at
-    (T + lambda I)^-1 B_x^* y and stopped at a residual of 1e-14 times
-    the right-hand side.  T_x and B_x^* y are summed over blocks of
-    ``_POINT_BLOCK`` points, and T_x stays in the factored
-    Toeplitz-plus-Hankel form of ``crossprod``, so each step is an
-    O(d log d) FFT matrix-vector product and no d-by-d matrix is built.
-    Under N(lambda) <= m lambda the preconditioned operator is within
-    Upsilon / sqrt(lambda) of the identity, so it takes a few steps
-    (``cg_steps``); if ``_PCG_MAX_STEPS`` steps do not suffice,
-    ``cg_steps`` is inf and u comes from the route of the other filters.
-    When m < d, u = Phi^T (Phi Phi^T / m + lambda I)^-1 y / m by LU.
-    The other filters act through the eigenvectors of T_x (m >= d),
-    assembled dense, or of the m-by-m Gram matrix (m < d).
-
-    The LU solve uses numpy rather than scipy's Cholesky: numpy and
-    scipy each bundle their own OpenBLAS thread pool, and waking both in
-    one trial costs more than LU's extra flops.
+    The route is chosen by m, d and the filter, and each route function
+    describes itself.  When m >= d, T_x (in factored form) and B_x^* y
+    come from ``_sample_sums``; Tikhonov takes ``_pcg`` on them, and
+    every other filter, or a PCG that reaches ``_PCG_MAX_STEPS``
+    (``cg_steps`` is then inf), takes ``_eigen_filter`` on the dense
+    T_x.  When m < d, the whole design table goes to ``_dual_svd`` if
+    m*d <= ``_SVD_DIRECT_LIMIT`` and to ``_dual_gram`` otherwise.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     m, d = dataset.m, problem.d
-    y = dataset.y
-    tikhonov = filt.id == "tikhonov"
     steps, u = 0, None
 
     if m >= d:
-        T, bvec = _sample_sums(problem, dataset.x, y)
-        if tikhonov:
+        T, bvec = _sample_sums(problem, dataset.x, dataset.y)
+        if filt.id == "tikhonov":
             u, steps = _pcg(T, lam, bvec, problem.t)
         if u is None:
-            evals, V = _clamped_eigh(T.toarray(), problem.kappa_sq)
-            g = filter_values(filt, lam, evals, problem.kappa_sq)
-            u = V @ (g * (V.T @ bvec))
+            u = _eigen_filter(T.toarray(), bvec, filt, lam, problem.kappa_sq)
     else:
-        phi = design_matrix(problem, dataset.x)
-        if m * d <= _SVD_DIRECT_LIMIT:
-            _, s, Wt = np.linalg.svd(phi / np.sqrt(m), full_matrices=False)
-            g = filter_values(filt, lam, s * s, problem.kappa_sq)
-            u = Wt.T @ (g * (Wt @ (phi.T @ y / m)))
-        elif tikhonov:
-            G = gram(phi) / m
-            G[np.diag_indices_from(G)] += lam
-            u = phi.T @ np.linalg.solve(G, y) / m
-        else:
-            evals, U = _clamped_eigh(gram(phi) / m, problem.kappa_sq)
-            g = filter_values(filt, lam, evals, problem.kappa_sq)
-            u = phi.T @ (U @ (g * (U.T @ y))) / m
+        route = _dual_svd if m * d <= _SVD_DIRECT_LIMIT else _dual_gram
+        u = route(design_matrix(problem, dataset.x), dataset.y, filt, lam,
+                  problem.kappa_sq)
     return Estimate(f_hat=u / problem.l, u_hat=u, cg_steps=steps)
 
 

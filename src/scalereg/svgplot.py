@@ -28,10 +28,6 @@ class _LogAxes:
         lx, ly = [math.log10(v) for v in xs], [math.log10(v) for v in ys]
         self.x0, self.x1 = min(lx) - pad, max(lx) + pad
         self.y0, self.y1 = min(ly) - pad, max(ly) + pad
-        if self.x1 - self.x0 < 1e-9:
-            self.x1 = self.x0 + 1.0
-        if self.y1 - self.y0 < 1e-9:
-            self.y1 = self.y0 + 1.0
 
     def px(self, x: float) -> float:
         f = (math.log10(x) - self.x0) / (self.x1 - self.x0)

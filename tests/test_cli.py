@@ -124,6 +124,7 @@ def test_bad_field_reports_json_pointer(tmp_path, capsys):
             ("rate", SMALL_RATE, 'problem.r="2"', "/problem/r"),
             ("rate", SMALL_RATE, 'tolerance="nan"', "/tolerance"),
             ("rate", SMALL_RATE, "tolerance=NaN", "/tolerance"),
+            ("rate", SMALL_RATE, "tolerance=1" + "0" * 400, "/tolerance"),
             ("rate", SMALL_RATE, "problem.v_pattern=1",
              "/problem/v_pattern"),
             ("effdim", SMALL_EFFDIM, "lambda_hi=true", "/lambda_hi"),
@@ -292,6 +293,20 @@ def test_rate_end_to_end(tmp_path, capsys):
     # the report and the manifest carry one digest of the config
     assert report["config_hash"] == man["config_sha256"]
     assert f"# config_hash,{man['config_sha256']}" in csv_lines
+
+
+def test_rate_two_cell_grid_has_no_fit_stderr(tmp_path):
+    # a line through two points has no degree of freedom left for its
+    # standard error: NaN, written null in JSON and nan in CSV
+    doc = dict(SMALL_RATE, m_grid=[64, 2048])
+    out = tmp_path / "out"
+    assert main(["rate", "--config", _write(tmp_path, "cfg.json", doc),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "rate_report.json").read_text())
+    assert len(report["per_m"]) == 2 and report["fit_stderr"] is None
+    assert report["fitted_exponent"] is not None
+    csv_lines = (out / "rate_report.csv").read_text().splitlines()
+    assert "# fit_stderr,nan" in csv_lines
 
 
 def test_rate_reruns_are_byte_identical(tmp_path):

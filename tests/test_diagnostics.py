@@ -24,7 +24,7 @@ from scalereg import (
     power_fn,
     sample_dataset,
 )
-from scalereg.diagnostics import _design_values, _trial_values
+from scalereg.diagnostics import _check_zeta, _design_values, _trial_values
 from scalereg.model import NoiseModel, SpectralProblem
 from scalereg.sampling import _stream
 
@@ -153,6 +153,8 @@ def test_compute_functions_reject_bad_lambda():
             fn(prob, x, 0.0)
     with pytest.raises(ValueError, match="lambda"):
         compute_psi(prob, sample_dataset(prob, 16, seed=0), -1.0)
+    with pytest.raises(ValueError, match="lambda"):
+        compute_xi(prob, x, 0.0, IDENTITY)
 
 
 def test_xi_scalar_oracle():
@@ -170,6 +172,9 @@ def test_xi_rejects_superlinear_zeta():
     x = np.linspace(0.05, 0.95, 32)
     with pytest.raises(ValueError):
         compute_xi(prob, x, 0.1, power_fn(2.0))
+    # a decreasing zeta fails the first grid check
+    with pytest.raises(ValueError, match="nondecreasing"):
+        _check_zeta(lambda t: np.exp(-t), 1.0)
 
 
 def test_psi_second_moment_matches_effective_dimension():
@@ -208,6 +213,11 @@ def test_bound_appendix_plugin_values():
     assert lam_q == pytest.approx(4.0)
     with pytest.raises(ValueError):
         bound_appendix("GAMMA", 1.0, 1, eta, consts)
+    for bad_eta in (0.0, 1.0):
+        with pytest.raises(ValueError, match="eta"):
+            bound_appendix("PSI", 1.0, 1, bad_eta, consts)
+    with pytest.raises(ValueError, match="lambda"):
+        bound_appendix("PSI", 0.0, 1, eta, consts)
 
 
 def test_bounds_shrink_with_sample_size():
@@ -247,6 +257,9 @@ def test_coverage_requires_enough_trials():
     with pytest.raises(ValueError):
         montecarlo_coverage_batch(prob, ["PSI"], 0.1, 64, etas=[0.1],
                                   trials=50, seed=0)
+    with pytest.raises(ValueError, match="unknown quantity"):
+        montecarlo_coverage_batch(prob, ["PSI", "GAMMA"], 0.1, 64,
+                                  etas=[0.1], trials=100, seed=0)
 
 
 def test_report_flags_out_of_hypothesis_points():
@@ -319,6 +332,8 @@ def test_heinz_bound_values():
         assert ratio <= 1.0 + 1e-12, (a, ratio)
     with pytest.raises(ValueError):
         check_heinz_bound(dense, 0.7, np.array([0.1]))
+    with pytest.raises(ValueError, match="lambda grid"):
+        check_heinz_bound(dense, 0.5, np.array([0.1, 0.0]))
 
 
 def test_lemma_envelope_frozen_case():
@@ -336,6 +351,14 @@ def test_lemma_envelope_frozen_case():
     assert rep["xi"] == pytest.approx(1.336503047964, rel=1e-9)
     assert rep["lambda_q"] == pytest.approx(0.385491748439, rel=1e-9)
     assert rep["lambda_q"] == compute_lambda_q(prob, ds.x, lam)
+
+
+def test_lemma_envelope_needs_a_known_link():
+    # a bare SpectralProblem has no smoothness spec, so no rho
+    prob = _scalar_problem()
+    ds = sample_dataset(prob, 8, seed=0)
+    with pytest.raises(ValueError, match="smoothness"):
+        check_lemma_envelope(prob, ds, make_filter("tikhonov"), 0.1)
 
 
 def test_lemma_envelope_trivial_on_midpoint_design():

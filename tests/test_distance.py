@@ -129,6 +129,19 @@ def test_distance_bound_degenerates_at_attained_smoothness():
         assert distance_bound(1.0, 1.0, 2.0) == 0.0
     with pytest.raises(ValueError):
         distance_bound(0.5, -1.0, 2.0)
+    with pytest.raises(ValueError, match="theta_r"):
+        distance_bound(0.0, 1.0, 2.0)
+
+
+def test_distance_refusals():
+    prob = _toy([1.0, 2.0], [1.0, 1.0])
+    for R in (0.0, -1.0):
+        with pytest.raises(ValueError, match="R must"):
+            distance_fn(prob, R)
+        with pytest.raises(ValueError, match="R must"):
+            distance_fn_q(prob, 2.0, R)
+    with pytest.raises(ValueError, match="q must"):
+        distance_fn_q(prob, 1.0, 1.0)
 
 
 def test_r_of_lambda_regimes():

@@ -52,6 +52,8 @@ def test_fitted_exponent_refuses_truncation_regime():
     t = np.arange(1, 51, dtype=np.float64) ** -2.0
     with pytest.raises(ValueError):
         fit_effdim_exponent(t, 1e-9, 1e-6)
+    with pytest.raises(ValueError, match="lambda_hi <= 1"):
+        fit_effdim_exponent(t, 1e-3, 2.0)
 
 
 def test_tail_condition_on_own_eigenvalue_grid():
@@ -73,6 +75,9 @@ def test_tail_condition_geometric_spectrum():
     assert c == pytest.approx(1.0 / (np.e - 1.0), rel=1e-12)
     with pytest.raises(ValueError):
         check_tail_condition(t, [0.0, 0.5])
+    # every grid point above the top of the spectrum: nothing to check
+    with pytest.raises(ValueError, match="no grid point"):
+        check_tail_condition(t, [0.5, 2.0])
 
 
 def test_effdim_relation_on_quarter_link_problem():

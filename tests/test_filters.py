@@ -94,6 +94,8 @@ def test_observed_qualification_within_declared():
         obs = check_qualification(filt, p)
         declared = filt.gamma_p_at(p)
         assert obs <= declared + 1e-9, f"{name} p={p}: {obs} > {declared}"
+    with pytest.raises(ValueError, match="p must"):
+        check_qualification(make_filter("tikhonov"), 0.0)
 
 
 def test_tikhonov_saturates_past_order_one():
@@ -145,6 +147,8 @@ def test_covering_checks():
     assert check_covering(1.0, power_fn(1.0))
     assert not check_covering(1.0, power_fn(2.0))
     assert check_covering(2.0, power_fn(2.0))
+    with pytest.raises(ValueError, match="p must"):
+        check_covering(0.0, power_fn(0.5))
 
 
 def test_prop_regularization_tikhonov_sqrt():
@@ -163,6 +167,10 @@ def test_prop_regularization_cutoff_identity():
 def test_prop_regularization_refuses_uncovered_phi():
     with pytest.raises(ValueError):
         check_prop_regularization(make_filter("tikhonov"), power_fn(2.0))
+    # cutoff has infinite qualification: no tested order up to 8 covers
+    # t^16
+    with pytest.raises(ValueError, match="no tested qualification"):
+        check_prop_regularization(make_filter("cutoff"), power_fn(16.0))
 
 
 def test_spectrum_rescaling_routes():

@@ -109,6 +109,15 @@ def test_counts_are_refused_at_their_field(field, value):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("value", [math.inf, True, "0.08"])
+def test_tolerance_is_a_finite_number(value):
+    # an infinite tolerance would pass every rate gate
+    with pytest.raises(FieldError) as exc:
+        _small_config(tolerance=value)
+    assert exc.value.field == "tolerance"
+    assert type(_small_config(tolerance=0).tolerance) is float
+
+
 def test_integral_floats_are_counts():
     cfg = _small_config(m_grid=(64.0, np.int64(4096)), trials_per_m=10.0,
                         seed=5.0)

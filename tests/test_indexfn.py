@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from scalereg import (
     power_fn,
 )
 from scalereg.cli import INDEX_FN, ConfigError
+from scalereg.model import FieldError
 
 
 def from_config(cfg):
@@ -48,8 +51,24 @@ def test_invalid_parameters_rejected():
         IndexFunction(kind="log", p=1.0, nu=-1.0)
     with pytest.raises(ValueError):
         IndexFunction(kind="product", left=power_fn(1.0))
+    with pytest.raises(FieldError) as exc:
+        IndexFunction(kind="product", right=power_fn(1.0))
+    assert exc.value.field == "left"
     with pytest.raises(ValueError):
         IndexFunction(kind="nope")
+
+
+@pytest.mark.parametrize("kw, key", [
+    ({"kind": "power", "exponent": math.inf}, "exponent"),
+    ({"kind": "power", "exponent": True}, "exponent"),
+    ({"kind": "log", "p": True}, "p"), ({"kind": "log", "nu": math.inf}, "nu")])
+def test_parameters_are_finite_numbers(kw, key):
+    # the fields that the kind reads; each is stored as a float
+    with pytest.raises(FieldError) as exc:
+        IndexFunction(**kw)
+    assert exc.value.field == key
+    assert type(power_fn(1).exponent) is float
+    assert type(IndexFunction(kind="log", p=1, nu=0).nu) is float
 
 
 @given(st.floats(min_value=0.05, max_value=3.0))

@@ -92,6 +92,22 @@ def test_power_table_validations():
         lambda_power_table(0.5, 0.5, 1.5, 1.0, 100, "regular")
     with pytest.raises(ValueError, match="case"):
         lambda_power_table(0.5, 0.5, 0.5, 1.0, 100, "both")
+    # the rate law's checks, which theoretical_exponent shares; r = q = 1
+    # is the one regular case that reaches the q > 1 check
+    for (a, b, r, q, case), match in [
+            ((0.0, 0.5, 0.5, 1.0, "oversmoothing"), "a must"),
+            ((0.6, 0.5, 0.5, 1.0, "oversmoothing"), "a must"),
+            ((0.5, -0.1, 0.5, 1.0, "oversmoothing"), "b must"),
+            ((0.5, 0.5, 0.0, 1.0, "oversmoothing"), "r must"),
+            ((0.5, 0.5, 1.0, 1.0, "regular"), "q > 1")]:
+        with pytest.raises(ValueError, match=match):
+            lambda_power_table(a, b, r, q, 100, case)
+        with pytest.raises(ValueError, match=match):
+            theoretical_exponent(a, b, r, q, case)
+    with pytest.raises(ValueError, match="m must"):
+        lambda_power_table(0.5, 0.5, 0.5, 1.0, 0, "oversmoothing")
+    with pytest.raises(ValueError, match="m must"):
+        lambda_balance_effdim(np.ones(4), 0)
 
 
 @given(st.floats(min_value=1e-3, max_value=0.5),
@@ -126,6 +142,7 @@ def test_rule_names_and_resolve():
                                R_dagger=1.0, d=64, sigma=0.05)
     fixed = LambdaRule("fixed", {"value": 0.125})
     assert fixed.resolve(prob, 10 ** 6) == 0.125
+    assert type(LambdaRule("fixed", {"value": 1}).params["value"]) is float
     bal = LambdaRule("balance_effdim", {})
     assert bal.resolve(prob, 4096) == pytest.approx(
         lambda_balance_effdim(prob.t, 4096))
@@ -150,6 +167,8 @@ def test_rule_params_are_checked_at_construction():
     for kind, params, key in (("fixed", {}, "params/value"),
                               ("fixed", {"value": 0.0}, "params/value"),
                               ("fixed", {"value": 1.5}, "params/value"),
+                              ("fixed", {"value": True}, "params/value"),
+                              ("fixed", {"value": "0.5"}, "params/value"),
                               ("power_table", {"case": "bogus"},
                                "params/case"),
                               ("newton", {}, "kind")):

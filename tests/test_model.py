@@ -14,6 +14,7 @@ from scalereg import (
     truncation_dim,
 )
 from scalereg.model import FieldError, _cosine_sum
+from scalereg.reporting import sha256_of
 
 
 def test_power_problem_link_held_with_equality():
@@ -71,12 +72,23 @@ _VALID = dict(s=0.5, a_link=0.25, r=2.0, q=4.0, R_dagger=1.0, sigma=0.05)
 
 @pytest.mark.parametrize("name", sorted(_VALID))
 def test_problem_spec_refuses_nan(name):
-    # every check is written so that a NaN and an infinity fail it
+    # every check refuses a NaN, an infinity and a non-number; a bool
+    # would run as 1.0 but be kept, and digested, as true
     PowerProblemSpec(**_VALID)
-    for bad in (math.nan, math.inf):
+    for bad in (math.nan, math.inf, True, "1"):
         with pytest.raises(FieldError, match=name) as exc:
             PowerProblemSpec(**dict(_VALID, **{name: bad}))
         assert exc.value.field == name
+
+
+def test_problem_spec_stores_floats():
+    # a config written with 1 and one written with 1.0 have one digest
+    spec = PowerProblemSpec(s=1, a_link=0.5, r=1, q=np.int64(2),
+                            R_dagger=np.float32(2.0), sigma=0)
+    written = PowerProblemSpec(s=1.0, a_link=0.5, r=1.0, q=2.0,
+                               R_dagger=2.0, sigma=0.0)
+    assert sha256_of(spec.to_dict()) == sha256_of(written.to_dict())
+    assert all(type(getattr(spec, k)) is float for k in _VALID)
 
 
 def test_truncation_dim():
@@ -87,6 +99,9 @@ def test_truncation_dim():
     assert truncation_dim(2, 2.0) == 64  # floored
     with pytest.raises(ValueError):
         truncation_dim(0, 1.0)
+    for s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="s must"):
+            truncation_dim(256, s)
 
 
 def test_truncation_dim_caps_where_the_power_overflows():
@@ -227,6 +242,11 @@ def test_hilbert_scale_norm():
     assert hilbert_scale_norm(prob, f, 0.0) == pytest.approx(5.0)
     # l = (1, 2): ||L f||^2 = 9 + 64
     assert hilbert_scale_norm(prob, f, 1.0) == pytest.approx(np.sqrt(73.0))
+    # an f of another length is refused by both readers of coefficients
+    with pytest.raises(ValueError, match="length d=2"):
+        hilbert_scale_norm(prob, np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="length d=2"):
+        forward_eval(prob, np.ones(3), np.array([0.5]))
 
 
 def test_noise_model_constants():
@@ -235,7 +255,7 @@ def test_noise_model_constants():
     silent = NoiseModel(0)
     assert silent.sigma == 0.0 and isinstance(silent.sigma, float)
     assert silent.M == 1.0 and silent.Sigma_const == 1.0
-    for bad in (-0.1, math.nan, math.inf):
+    for bad in (-0.1, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="sigma"):
             NoiseModel(bad)
 
