@@ -67,13 +67,13 @@ def _spread(values: list) -> dict:
 def _run_values(report: dict) -> dict:
     """wall_s, peak_rss_mb and the layer self times of one report.json.
 
-    wall_s is the median over the untraced commands, as run.py's
-    ``end_to_end_metrics`` takes it."""
-    default = report["phases"]["default"]
-    return {"wall_s": statistics.median(r["wall_s"] for r in default["reps"]),
-            "peak_rss_mb": default["peak_rss_mb"],
+    wall_s is the median over the untraced commands, which run.py
+    reports as ``trace.untraced_wall_s``."""
+    metrics = report["metrics"]
+    return {"wall_s": metrics["trace.untraced_wall_s"]["value"],
+            "peak_rss_mb": report["phases"]["default"]["peak_rss_mb"],
             "self_s": {name[:-len(".self_s")]: metric["value"]
-                       for name, metric in report["metrics"].items()
+                       for name, metric in metrics.items()
                        if name.endswith(".self_s")
                        and not name.startswith("serial.")}}
 

@@ -28,8 +28,7 @@ from .lambda_rules import (RULE_NAMES, LambdaRule, lambda_balance_effdim,
 from .mercer import (K2_NOTE, kernel_k1, kernel_k2, mercer_decompose,
                      midpoint_grid)
 from .model import (CASES, NoiseModel, PowerProblemSpec, SpectralProblem,
-                    build_power_problem, forward_eval, hilbert_scale_norm,
-                    truncation_dim)
+                    forward_eval, hilbert_scale_norm, truncation_dim)
 from .sampling import (Dataset, Estimate, design_matrix, empirical_cov,
                        errors, estimate, sample_dataset)
 

@@ -507,6 +507,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n{_USAGE}")
         return EX_USAGE
+    except SystemExit:   # --help, once argparse has printed the options
+        return EX_OK
 
     schema, run = COMMANDS[command]
     try:

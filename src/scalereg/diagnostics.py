@@ -81,8 +81,7 @@ def compute_psi(problem: SpectralProblem, dataset: Dataset,
                 lam: float) -> float:
     """|| (T + lam I)^{-1/2} Bx^*(g(x) - y) ||."""
     resid = forward_eval(problem, problem.f_true, dataset.x) - dataset.y
-    return _design_values(problem, dataset.x, lambda: resid, lam,
-                          ("PSI",))[0]["PSI"]
+    return _design_values(problem, dataset.x, resid, lam, ("PSI",))[0]["PSI"]
 
 
 def compute_upsilon(problem: SpectralProblem, x, lam: float) -> float:
@@ -202,13 +201,9 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
                    zeta_fns: Optional[dict] = None):
     """(values, eig): the quantities named in ``tags`` for the design x.
 
-    ``noise()`` returns the noise vector that PSI weighs (y - g(x), up
-    to sign).  It is called only for PSI, before T_x is built, because
-    Bx^* of the noise is summed in the same sweep over blocks of points
-    as T_x.  In that order ten runs of perfbench's coverage workload all
-    peaked at 49.4-49.7 MB RSS on a 2-vCPU VM, in one heap layout.
-    ``noise`` may be None without PSI, and ``lam`` None with TX_DEV
-    alone.
+    ``noise`` is the noise vector that PSI weighs (y - g(x), up to
+    sign); Bx^* of it is summed in the same sweep over blocks of points
+    as T_x.  It is None without PSI, and ``lam`` None with TX_DEV alone.
     ``zeta_fns`` maps further tags to index functions zeta, each tag
     getting the Xi of its zeta; then ``eig`` is the eigensystem (w, V)
     of T_x, else None.  The dense d x d T_x is formed only for a Xi or
@@ -218,7 +213,7 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
         raise ValueError("lambda must be positive")
     x = np.asarray(x, dtype=np.float64)
     t, l = problem.t, problem.l
-    op, b = _sample_sums(problem, x, noise() if "PSI" in tags else None)
+    op, b = _sample_sums(problem, x, noise)
     deviations = any(tag in tags for tag in _DEVIATIONS)
     tx = op.toarray() if zeta_fns or deviations else None
     out = {}
@@ -250,10 +245,12 @@ def _design_values(problem: SpectralProblem, x, noise, lam, tags,
 
 def _trial_values(problem: SpectralProblem, m: int, lam: float,
                   trial_seed: int, tags, zeta_fns: dict) -> dict:
-    # the design and noise of sample_dataset under the trial seed
-    return _design_values(problem, _design_points(trial_seed, m),
-                          lambda: _noise(problem, trial_seed, m), lam, tags,
-                          zeta_fns)[0]
+    # the design and noise of sample_dataset under the trial seed, drawn
+    # in that order before T_x is built: so ten runs of perfbench's
+    # coverage workload all peaked at 49.4-49.7 MB RSS on a 2-vCPU VM
+    x = _design_points(trial_seed, m)
+    noise = _noise(problem, trial_seed, m) if "PSI" in tags else None
+    return _design_values(problem, x, noise, lam, tags, zeta_fns)[0]
 
 
 def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,

@@ -20,7 +20,7 @@ from .filters import check_covering, make_filter
 from .indexfn import power_fn
 from .lambda_rules import LambdaRule, benchmark_order, theoretical_exponent
 from .model import (CASES, FieldError, PowerProblemSpec, SpectralProblem,
-                    _integral, _real)
+                    _integral, _not_real, _real)
 from .sampling import _trial_seeds, errors, estimate, sample_dataset
 
 DEFAULT_TOLERANCE = 0.08
@@ -73,8 +73,8 @@ class ExperimentConfig:
         if self.case not in CASES:
             raise FieldError("case", f"case must be one of {CASES}")
         if not (_real(self.tolerance) and self.tolerance >= 0):
-            raise FieldError("tolerance", "tolerance must be >= 0, got "
-                             f"{self.tolerance!r}")
+            raise FieldError("tolerance", _not_real(
+                "tolerance", self.tolerance, "[0, inf)"))
         object.__setattr__(self, "tolerance", float(self.tolerance))
         rule = self.lambda_rule or LambdaRule("power_table")
         if rule.kind == "power_table":
@@ -158,12 +158,6 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     cells = []
     for m in config.m_grid:
         problem = sm.build(m, config.seed)
-        # the spectrum that every trial's solve reads is cached with the
-        # cell, so that not even the first trial leaves an array behind.
-        # One that did moved each later block table of the cell up the
-        # heap, and perfbench's rate_oversmoothing peaked at 73 MB, not
-        # 66 MB, in most checkout directories (2-vCPU VM)
-        problem.t
         lam = config.lambda_rule.resolve(problem, m)
         tseeds = _trial_seeds(config.seed, m, config.trials_per_m)
         cells.append((m, problem, lam, tseeds))

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import FieldError, _real
+from .model import FieldError, _not_real, _real
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,14 @@ class IndexFunction:
     def __post_init__(self):
         if self.kind == "power":
             if not (_real(self.exponent) and self.exponent > 0):
-                raise FieldError("exponent",
-                                 "power index function needs exponent > 0")
+                raise FieldError("exponent", _not_real(
+                    "exponent", self.exponent, "(0, inf)"))
             object.__setattr__(self, "exponent", float(self.exponent))
         elif self.kind == "log":
             if not (_real(self.p) and self.p > 0):
-                raise FieldError("p", "log index function needs p > 0")
+                raise FieldError("p", _not_real("p", self.p, "(0, inf)"))
             if not (_real(self.nu) and self.nu >= 0):
-                raise FieldError("nu", "log index function needs nu >= 0")
+                raise FieldError("nu", _not_real("nu", self.nu, "[0, inf)"))
             object.__setattr__(self, "p", float(self.p))
             object.__setattr__(self, "nu", float(self.nu))
         elif self.kind == "product":

@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from .effdim import effdim
 from .model import (CASES, FieldError, PowerProblemSpec, SpectralProblem,
-                    _real)
+                    _not_real, _real)
 
 LAMBDA_FLOOR = 1e-14
 
@@ -165,8 +165,8 @@ class LambdaRule:
         if self.kind == "fixed":
             value = self.params.get("value")
             if not (_real(value) and 0 < value <= 1):
-                raise FieldError("params/value",
-                                 "fixed lambda needs params.value in (0, 1]")
+                raise FieldError("params/value", _not_real(
+                    "params.value", value, "(0, 1]"))
             object.__setattr__(self, "params", MappingProxyType(
                 dict(self.params, value=float(value))))
         if (self.kind == "power_table"

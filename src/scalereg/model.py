@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -64,6 +63,13 @@ def _real(val) -> bool:
         return False
 
 
+def _not_real(key: str, val, interval: str) -> str:
+    """The refusal message of a float field whose value fails ``_real``
+    or lies outside ``interval``: "r must be a finite number in (0, inf),
+    got True"."""
+    return f"{key} must be a finite number in {interval}, got {val!r}"
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Observation noise: Gaussian with std ``sigma``.
@@ -79,7 +85,8 @@ class NoiseModel:
 
     def __post_init__(self):
         if not (_real(self.sigma) and self.sigma >= 0):
-            raise FieldError("sigma", "sigma must be in [0, inf)")
+            raise FieldError("sigma",
+                             _not_real("sigma", self.sigma, "[0, inf)"))
         object.__setattr__(self, "sigma", float(self.sigma))
 
     @property
@@ -118,11 +125,11 @@ class PowerProblemSpec:
     (rho(t) = t**a_link), r the source exponent (theta(t) = t**r), q the
     benchmark exponent, R_dagger the source norm bound and sigma the
     noise level, which ``noise`` holds as the problem's ``NoiseModel``.
-    ``v_pattern`` shapes the source element (see
-    ``build_power_problem``); d is ``truncation_dim(m, s)`` unless
-    ``d_override`` fixes it.  A built problem carries the spec of its own
-    d as ``smoothness``.  A refused parameter raises a ``FieldError``
-    that names its config key ("d" for ``d_override``).
+    ``v_pattern`` shapes the source element (see ``build``); d is
+    ``truncation_dim(m, s)`` unless ``d_override`` fixes it.  A built
+    problem carries this spec as ``smoothness``.  A refused parameter
+    raises a ``FieldError`` that names its config key ("d" for
+    ``d_override``).
     """
 
     s: float
@@ -137,15 +144,17 @@ class PowerProblemSpec:
 
     def __post_init__(self):
         if not (_real(self.r) and self.r > 0):
-            raise FieldError("r", "r must be in (0, inf)")
+            raise FieldError("r", _not_real("r", self.r, "(0, inf)"))
         if not (_real(self.a_link) and 0 < self.a_link <= 0.5):
-            raise FieldError("a_link", "a_link must be in (0, 1/2]")
+            raise FieldError("a_link",
+                             _not_real("a_link", self.a_link, "(0, 1/2]"))
         if not (_real(self.q) and self.q >= 1):
-            raise FieldError("q", "q must be in [1, inf)")
+            raise FieldError("q", _not_real("q", self.q, "[1, inf)"))
         if not (_real(self.R_dagger) and self.R_dagger > 0):
-            raise FieldError("R_dagger", "R_dagger must be in (0, inf)")
+            raise FieldError("R_dagger", _not_real("R_dagger", self.R_dagger,
+                                                   "(0, inf)"))
         if not (_real(self.s) and self.s > 0):
-            raise FieldError("s", "s must be in (0, inf)")
+            raise FieldError("s", _not_real("s", self.s, "(0, inf)"))
         object.__setattr__(self, "noise", NoiseModel(self.sigma))
         for key in ("s", "a_link", "r", "q", "R_dagger"):
             object.__setattr__(self, key, float(getattr(self, key)))
@@ -167,11 +176,34 @@ class PowerProblemSpec:
         return self.a_link / self.s
 
     def build(self, m: int, seed: int) -> SpectralProblem:
+        """The problem of sample size m, whose link condition holds with
+        equality.
+
+        With l_j = j**s and a_j = j**(s * (1 - 1/(2*a_link))) the
+        covariance spectrum is t_j = l_j**(-1/a_link) exactly, so
+        rho(t) = t**a_link links the two scales with constant 1.  The
+        truth is f_j = l_j**(-r) * v_j where the source element v has
+        norm R_dagger and its shape is chosen by ``v_pattern``:
+
+        - "constant": v_j = R_dagger / sqrt(d)
+        - "seeded":   standard normal draws rescaled to norm R_dagger
+                      (counter-based generator keyed by ``seed``)
+        """
         d = (truncation_dim(m, self.s) if self.d_override is None
              else self.d_override)
-        return build_power_problem(self.s, self.a_link, self.r, self.q,
-                                   self.R_dagger, d, self.sigma,
-                                   v_pattern=self.v_pattern, seed=seed)
+        j = np.arange(1, d + 1, dtype=np.float64)
+        l = j ** self.s
+        a = j ** (self.s * (1.0 - 1.0 / (2.0 * self.a_link)))
+        if self.v_pattern == "constant":
+            v = np.full(d, self.R_dagger / np.sqrt(d))
+        else:
+            gen = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence([int(seed)])))
+            v = gen.standard_normal(d)
+            v *= self.R_dagger / np.linalg.norm(v)
+        f_true = l ** (-self.r) * v
+        return SpectralProblem(d=d, a=a, l=l, f_true=f_true,
+                               noise=self.noise, smoothness=self)
 
     def to_dict(self) -> dict:
         out = {"s": self.s, "a_link": self.a_link, "r": self.r, "q": self.q,
@@ -184,12 +216,26 @@ class PowerProblemSpec:
 
 @dataclass(frozen=True)
 class SpectralProblem:
+    """The diagonal problem (a, l, f_true) of d modes and its noise.
+
+    Its population spectra are made once, at construction, and are
+    read-only: the covariance eigenvalues t_j = (a_j / l_j)**2, the
+    eigenvalues a_j**2 of the population operator built from A
+    (``lnu_eigs``), and the sups kappa_sq and kappa_tilde_sq of their
+    kernels.  ``smoothness`` is the ``PowerProblemSpec`` that built the
+    problem, if one did.
+    """
+
     d: int
     a: np.ndarray
     l: np.ndarray
     f_true: np.ndarray
     noise: NoiseModel
     smoothness: Optional[PowerProblemSpec] = None
+    t: np.ndarray = field(init=False, repr=False, compare=False)
+    lnu_eigs: np.ndarray = field(init=False, repr=False, compare=False)
+    kappa_sq: float = field(init=False, repr=False, compare=False)
+    kappa_tilde_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -206,70 +252,25 @@ class SpectralProblem:
             raise ValueError("all l_j must be positive")
         if np.any(np.diff(self.l) < 0):
             raise ValueError("l must be nondecreasing")
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        """Population covariance eigenvalues t_j = (a_j / l_j)**2."""
-        t = (self.a / self.l) ** 2
-        t.flags.writeable = False
-        return t
-
-    @cached_property
-    def lnu_eigs(self) -> np.ndarray:
-        """Eigenvalues a_j**2 of the population operator built from A."""
-        e = self.a ** 2
-        e.flags.writeable = False
-        return e
-
-    @cached_property
-    def kappa_sq(self) -> float:
-        return _sup_at_zero(self.t)
-
-    @cached_property
-    def kappa_tilde_sq(self) -> float:
-        return _sup_at_zero(self.lnu_eigs)
-
-
-def _sup_at_zero(c: np.ndarray) -> float:
-    # sup_x sum_j c_j e_j(x)^2 for c >= 0, attained at x = 0 where every
-    # squared cosine mode reaches its maximum 2 simultaneously
-    return float(c[0] + 2.0 * c[1:].sum())
+        # each kappa is sup_x sum_j c_j e_j(x)^2 for its c >= 0, attained
+        # at x = 0 where every squared cosine mode reaches its maximum 2
+        # simultaneously
+        for name, c, sup in (("t", (self.a / self.l) ** 2, "kappa_sq"),
+                             ("lnu_eigs", self.a ** 2, "kappa_tilde_sq")):
+            c.flags.writeable = False
+            object.__setattr__(self, name, c)
+            object.__setattr__(self, sup, float(c[0] + 2.0 * c[1:].sum()))
 
 
 def build_power_problem(s: float, a_link: float, r: float, q: float,
                         R_dagger: float, d: int, sigma: float,
                         v_pattern: str = "constant",
                         seed: int = 0) -> SpectralProblem:
-    """Construct a problem whose link condition holds with equality.
-
-    With l_j = j**s and a_j = j**(s * (1 - 1/(2*a_link))) the covariance
-    spectrum is t_j = l_j**(-1/a_link) exactly, so rho(t) = t**a_link
-    links the two scales with constant 1.  The truth is f_j = l_j**(-r)
-    * v_j where the source element v has norm R_dagger and its shape is
-    chosen by ``v_pattern``:
-
-    - "constant": v_j = R_dagger / sqrt(d)
-    - "seeded":   standard normal draws rescaled to norm R_dagger
-                  (counter-based generator keyed by ``seed``)
-
-    The parameters are checked by the ``PowerProblemSpec`` of this d,
-    which the problem keeps as ``smoothness``.
-    """
-    spec = PowerProblemSpec(s=s, a_link=a_link, r=r, q=q, R_dagger=R_dagger,
-                            sigma=sigma, v_pattern=v_pattern, d_override=d)
-    j = np.arange(1, d + 1, dtype=np.float64)
-    l = j ** s
-    a = j ** (s * (1.0 - 1.0 / (2.0 * a_link)))
-    if v_pattern == "constant":
-        v = np.full(d, R_dagger / np.sqrt(d))
-    else:
-        gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence([int(seed)])))
-        v = gen.standard_normal(d)
-        v *= R_dagger / np.linalg.norm(v)
-    f_true = l ** (-r) * v
-    return SpectralProblem(d=d, a=a, l=l, f_true=f_true,
-                           noise=spec.noise, smoothness=spec)
+    """The power problem of d modes: ``PowerProblemSpec(...,
+    d_override=d).build(d, seed)``."""
+    return PowerProblemSpec(s=s, a_link=a_link, r=r, q=q, R_dagger=R_dagger,
+                            sigma=sigma, v_pattern=v_pattern,
+                            d_override=d).build(d, seed)
 
 
 def _cosine_coef(c: np.ndarray) -> np.ndarray:

@@ -77,6 +77,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .filters import FilterFamily, filter_values
+from .mercer import midpoint_grid
 from .model import SpectralProblem, _cosine_coef, forward_eval
 
 DESIGNS = ("random_uniform", "midpoint_grid")
@@ -163,7 +164,7 @@ def sample_dataset(problem: SpectralProblem, m: int, seed: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     if design == "midpoint_grid":
-        x = (np.arange(1, m + 1, dtype=np.float64) - 0.5) / m
+        x = midpoint_grid(m)
     elif design == "random_uniform":
         x = _design_points(seed, m)
     else:

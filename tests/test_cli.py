@@ -66,6 +66,14 @@ def test_help_exits_zero(capsys):
     assert "rate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_help_returns_zero(command, capsys):
+    # main returns the exit code of --help too, after the options
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: scalereg {command}") and "--config" in out
+
+
 def test_unknown_command_is_usage(capsys):
     assert main(["frobnicate"]) == 64
     assert "unknown command" in capsys.readouterr().err

@@ -6,7 +6,6 @@ from scalereg import (
     BoundCheckReport,
     bound_appendix,
     bound_constants,
-    build_power_problem,
     check_heinz_bound,
     check_interpolation,
     check_lemma_envelope,
@@ -25,7 +24,7 @@ from scalereg import (
     sample_dataset,
 )
 from scalereg.diagnostics import _check_zeta, _design_values, _trial_values
-from scalereg.model import NoiseModel, SpectralProblem
+from scalereg.model import NoiseModel, SpectralProblem, build_power_problem
 from scalereg.sampling import _stream
 
 IDENTITY = power_fn(1.0)
@@ -87,8 +86,7 @@ def test_psi_alone_holds_no_dense_covariance():
     assert peak < 20 * 2 ** 20, f"compute_psi peaked at {peak / 2 ** 20:.1f} MiB"
     # the same value as on the route that builds the dense T_x
     resid = forward_eval(prob, prob.f_true, ds.x) - ds.y
-    both = _design_values(prob, ds.x, lambda: resid, lam,
-                          ("PSI", "TX_DEV"))[0]
+    both = _design_values(prob, ds.x, resid, lam, ("PSI", "TX_DEV"))[0]
     assert both["PSI"] == psi
 
 

@@ -7,13 +7,13 @@ from scalereg import (
     NoiseModel,
     PowerProblemSpec,
     SpectralProblem,
-    build_power_problem,
     distance_bound,
     distance_curve,
     distance_fn,
     distance_fn_q,
     r_of_lambda,
 )
+from scalereg.model import build_power_problem
 
 
 def _toy(l, f):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalereg import (
-    build_power_problem,
     check_effdim_relation,
     check_tail_condition,
     effdim,
@@ -14,6 +13,7 @@ from scalereg import (
     fit_effdim_exponent,
     power_fn,
 )
+from scalereg.model import build_power_problem
 
 
 def test_effdim_hand_value():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,7 +113,9 @@ def test_counts_are_refused_at_their_field(field, value):
 @pytest.mark.parametrize("value", [math.inf, True, "0.08"])
 def test_tolerance_is_a_finite_number(value):
     # an infinite tolerance would pass every rate gate
-    with pytest.raises(FieldError) as exc:
+    with pytest.raises(FieldError, match=r"^tolerance must be a finite "
+                       rf"number in \[0, inf\), got {re.escape(repr(value))}$"
+                       ) as exc:
         _small_config(tolerance=value)
     assert exc.value.field == "tolerance"
     assert type(_small_config(tolerance=0).tolerance) is float

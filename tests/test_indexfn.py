@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,7 +65,8 @@ def test_invalid_parameters_rejected():
     ({"kind": "log", "p": True}, "p"), ({"kind": "log", "nu": math.inf}, "nu")])
 def test_parameters_are_finite_numbers(kw, key):
     # the fields that the kind reads; each is stored as a float
-    with pytest.raises(FieldError) as exc:
+    with pytest.raises(FieldError, match=rf"^{key} must be a finite number "
+                       rf"in .*, got {re.escape(repr(kw[key]))}$") as exc:
         IndexFunction(**kw)
     assert exc.value.field == key
     assert type(power_fn(1).exponent) is float

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scalereg import (
     LambdaRule,
     RULE_NAMES,
-    build_power_problem,
     effdim,
     lambda_balance_effdim,
     lambda_balance_general,
@@ -14,7 +13,7 @@ from scalereg import (
     theoretical_exponent,
 )
 from scalereg.lambda_rules import LAMBDA_FLOOR
-from scalereg.model import FieldError, PowerProblemSpec
+from scalereg.model import FieldError, PowerProblemSpec, build_power_problem
 
 
 def test_balance_scalar_oracle():
@@ -175,6 +174,10 @@ def test_rule_params_are_checked_at_construction():
         with pytest.raises(FieldError) as exc:
             LambdaRule(kind, params)
         assert exc.value.field == key, (kind, params)
+        if key == "params/value":
+            # the number rule, and the refused value at the end
+            assert str(exc.value) == ("params.value must be a finite number "
+                                      f"in (0, 1], got {params.get('value')!r}")
 
 
 def test_rule_params_are_read_only():

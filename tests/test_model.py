@@ -1,4 +1,7 @@
+import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +10,18 @@ from scalereg import (
     NoiseModel,
     PowerProblemSpec,
     SpectralProblem,
-    build_power_problem,
     design_matrix,
+    errors,
+    estimate,
     forward_eval,
     hilbert_scale_norm,
+    make_filter,
+    sample_dataset,
     truncation_dim,
 )
-from scalereg.model import FieldError, _cosine_sum
+from scalereg.diagnostics import _trial_values
+from scalereg.model import (V_PATTERNS, FieldError, _cosine_sum,
+                            build_power_problem)
 from scalereg.reporting import sha256_of
 
 
@@ -73,10 +81,13 @@ _VALID = dict(s=0.5, a_link=0.25, r=2.0, q=4.0, R_dagger=1.0, sigma=0.05)
 @pytest.mark.parametrize("name", sorted(_VALID))
 def test_problem_spec_refuses_nan(name):
     # every check refuses a NaN, an infinity and a non-number; a bool
-    # would run as 1.0 but be kept, and digested, as true
+    # would run as 1.0 but be kept, and digested, as true.  The message
+    # names the number rule and ends with the refused value
     PowerProblemSpec(**_VALID)
     for bad in (math.nan, math.inf, True, "1"):
-        with pytest.raises(FieldError, match=name) as exc:
+        with pytest.raises(FieldError, match=rf"^{name} must be a finite "
+                           rf"number in .*, got {re.escape(repr(bad))}$"
+                           ) as exc:
             PowerProblemSpec(**dict(_VALID, **{name: bad}))
         assert exc.value.field == name
 
@@ -118,11 +129,9 @@ def test_problem_spec_build_and_dict():
     spec = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1)
     prob = spec.build(1024, seed=0)
     assert prob.d == truncation_dim(1024, 1.0)
-    # the problem keeps the spec of its own d, and its noise
-    assert prob.smoothness == PowerProblemSpec(s=1.0, a_link=0.5, r=0.5,
-                                               q=1.0, sigma=0.1,
-                                               d_override=prob.d)
-    assert prob.noise == spec.noise == NoiseModel(0.1)
+    # the problem keeps the spec that built it, and its noise
+    assert prob.smoothness is spec
+    assert prob.noise is spec.noise and spec.noise == NoiseModel(0.1)
     spec_d = PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, sigma=0.1,
                               d_override=48)
     assert spec_d.build(10 ** 6, seed=0).d == 48
@@ -133,6 +142,66 @@ def test_problem_spec_build_and_dict():
     for kw in ({"d_override": 0}, {"d_override": 1}, {"sigma": -1.0}):
         with pytest.raises(ValueError, match="d must|sigma"):
             PowerProblemSpec(s=1.0, a_link=0.5, r=0.5, q=1.0, **kw)
+
+
+@pytest.mark.parametrize("v_pattern", V_PATTERNS)
+def test_build_power_problem_is_the_spec_build(v_pattern):
+    # the alias builds through the spec, value for value, and the
+    # spectra of the problem are made with it and cannot be written
+    kw = dict(s=0.5, a_link=0.25, r=2.0, q=4.0, R_dagger=1.5, sigma=0.05,
+              v_pattern=v_pattern)
+    prob = build_power_problem(d=256, seed=3, **kw)
+    spec = PowerProblemSpec(d_override=256, **kw)
+    built = spec.build(256, 3)
+    for name in ("a", "l", "f_true", "t", "lnu_eigs"):
+        assert np.array_equal(getattr(prob, name), getattr(built, name))
+    assert prob.smoothness == spec and built.smoothness is spec
+    for arr in (built.t, built.lnu_eigs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+def _numpy_buffers_left(run) -> list:
+    """The numpy buffers that ``run()`` allocates and leaves allocated."""
+    domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start(8)
+    try:
+        run()
+        gc.collect()
+        left = tracemalloc.take_snapshot().filter_traces(domain)
+    finally:
+        tracemalloc.stop()
+    return left.statistics("traceback")
+
+
+def _rate_trial(prob):
+    filt = make_filter("tikhonov")
+
+    def run():
+        # the trial of harness.run_rate_experiment, on the PCG route
+        est = estimate(prob, sample_dataset(prob, 512, seed=4), filt, 1e-3)
+        errors(prob, est)
+    return run
+
+
+def _coverage_trial(prob):
+    def run():
+        _trial_values(prob, 512, 1e-3, 4,
+                      {"PSI", "UPSILON", "LAMBDA_Q", "TX_DEV"}, {})
+    return run
+
+
+@pytest.mark.parametrize("trial", [_rate_trial, _coverage_trial],
+                         ids=["rate", "coverage"])
+def test_no_trial_leaves_a_problem_array(trial):
+    # a problem is built whole: the spectra that a trial reads were made
+    # with it, so no trial leaves one behind on the heap.  The warm-up
+    # on another problem takes whatever numpy sets up on first use
+    spec = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0, d_override=256)
+    trial(spec.build(1, 1))()
+    left = _numpy_buffers_left(trial(spec.build(1, 2)))
+    assert left == [], [f"{stat.traceback[-1]}: {stat.size} B"
+                        for stat in left]
 
 
 def test_problem_spec_d_is_an_integer():

@@ -6,7 +6,6 @@ import pytest
 import scalereg.sampling as sampling
 from scalereg import (
     Dataset,
-    build_power_problem,
     design_matrix,
     empirical_cov,
     errors,
@@ -15,6 +14,7 @@ from scalereg import (
     make_filter,
     sample_dataset,
 )
+from scalereg.model import build_power_problem
 from scalereg.sampling import (_clamped_eigh, _design_weights,
                                _weighted_cosine_table, crossprod, gram)
 
