@@ -283,11 +283,11 @@ def montecarlo_coverage_batch(problem: SpectralProblem, quantities, lam: float,
     rows = [_trial_values(problem, m, lam, int(seed_k), tags, zeta_fns)
             for seed_k in tseeds]
 
+    consts = bound_constants(problem, lam)
     # the balance rule lands exactly on N(lam) = m lam; the boundary is
     # inside the hypothesis, so allow root-finder slack
-    n_eff = effdim(problem.t, lam)
-    in_hyp = bool(n_eff <= m * lam * (1.0 + 1e-6) and lam <= 1.0)
-    consts = bound_constants(problem, lam)
+    in_hyp = bool(consts["effdim_T"] <= m * lam * (1.0 + 1e-6)
+                  and lam <= 1.0)
     reports = []
     for q in quantities:
         vals = np.array([row[q] for row in rows])

@@ -26,14 +26,14 @@ _ROOT_TOL = 1e-12
 _MAX_BISECT = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceResult:
     d_value: float
     minimizer_v: np.ndarray
     mu: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceCurve:
     Rs: np.ndarray
     values: np.ndarray

@@ -28,7 +28,7 @@ def effdim(spectrum, lam: float) -> float:
     return float(np.sum(t / (t + lam)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffDimCurve:
     lambdas: np.ndarray
     values: np.ndarray

@@ -140,10 +140,10 @@ def run_rate_experiment(config: ExperimentConfig) -> RateReport:
     h-norm error per trial.  Medians are fitted by weighted least
     squares in log-log (weights = trials / variance of the log errors).
     Each cell also reports ``cg_steps``, the median number of PCG steps
-    of the primal Tikhonov solve (0 on routes without one; a trial whose
-    PCG reached its step cap, so that the eigh route answered, counts as
-    infinitely many), a per-cell reading of
-    the hypothesis N(lambda) <= m lambda.
+    of the primal Tikhonov solve, a per-cell reading of the hypothesis
+    N(lambda) <= m lambda.  It is 0 on routes without a PCG, and a trial
+    whose PCG reached its step cap, so that the eigh route answered,
+    counts as infinitely many.
     Aborts on any NaN error with the cell named.  ``config_hash`` is
     the digest that the run's manifest records as ``config_sha256``.
     """

@@ -214,7 +214,7 @@ class PowerProblemSpec:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralProblem:
     """The diagonal problem (a, l, f_true) of d modes and its noise.
 
@@ -232,10 +232,10 @@ class SpectralProblem:
     f_true: np.ndarray
     noise: NoiseModel
     smoothness: Optional[PowerProblemSpec] = None
-    t: np.ndarray = field(init=False, repr=False, compare=False)
-    lnu_eigs: np.ndarray = field(init=False, repr=False, compare=False)
-    kappa_sq: float = field(init=False, repr=False, compare=False)
-    kappa_tilde_sq: float = field(init=False, repr=False, compare=False)
+    t: np.ndarray = field(init=False, repr=False)
+    lnu_eigs: np.ndarray = field(init=False, repr=False)
+    kappa_sq: float = field(init=False, repr=False)
+    kappa_tilde_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:

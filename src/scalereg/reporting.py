@@ -12,8 +12,6 @@ import hashlib
 import json
 import math
 import platform
-from functools import cache
-from importlib import metadata
 
 import numpy as np
 
@@ -30,20 +28,13 @@ _RATE_FOOTER_KEYS = ("fitted_exponent", "fit_stderr", "theoretical_exponent",
 
 
 def _clean(obj):
-    """JSON-safe copy: numpy scalars to Python, non-finite to null."""
+    """JSON-safe copy: non-finite floats to null."""
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -113,23 +104,13 @@ def write_rate_csv(path, report) -> None:
 
 # ------------------------------------------------------------ manifest
 
-@cache
-def _pkg_version(name: str):
-    # installed versions do not change while the process runs, and
-    # parsing scipy's metadata takes milliseconds per call
-    try:
-        return metadata.version(name)
-    except metadata.PackageNotFoundError:
-        return None
-
-
 def manifest(config_doc, seed) -> dict:
-    """Reproducibility record: config hash, seed, versions."""
+    """Reproducibility record: config hash, seed, and the versions of
+    Python, numpy and scalereg, the only packages a run imports."""
     return {"config_sha256": sha256_of(config_doc),
             "seed": int(seed),
             "versions": {"python": platform.python_version(),
                          "numpy": np.__version__,
-                         "scipy": _pkg_version("scipy"),
                          "scalereg": __version__}}
 
 

@@ -102,7 +102,7 @@ _ROW_BLOCK = 256
 _POINT_BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     x: np.ndarray
     y: np.ndarray
@@ -122,7 +122,7 @@ class Dataset:
         return self.x.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
     """A regularized solution and how it was solved.
 

@@ -564,9 +564,10 @@ def test_runtime_error_maps_to_exit_one(tmp_path, capsys, monkeypatch):
 
 def test_rate_run_imports_no_scipy(tmp_path):
     # scipy is a test dependency only: a rate run through the CLI, which
-    # takes the SVD and the primal PCG routes and writes the manifest,
-    # must not load it; nor, running its trials serially on the one
-    # numpy backend, a thread pool or numba
+    # takes the SVD and the primal PCG routes, and a bounds run must not
+    # load it, nor importlib.metadata, since a manifest records only the
+    # versions of what a run imports; nor, running their trials serially
+    # on the one numpy backend, a thread pool or numba
     cfg = dict(SMALL_RATE, m_grid=[16, 64, 512], trials_per_m=10)
     code = (
         "import sys\n"
@@ -574,9 +575,14 @@ def test_rate_run_imports_no_scipy(tmp_path):
         f"rc = main(['rate', '--config', {_write(tmp_path, 'c.json', cfg)!r},"
         f" '--out', {str(tmp_path / 'out')!r}])\n"
         "assert rc == 0, rc\n"
+        f"rc = main(['bounds', '--config',"
+        f" {_write(tmp_path, 'b.json', SMALL_BOUNDS)!r},"
+        f" '--out', {str(tmp_path / 'bounds')!r}])\n"
+        "assert rc == 0, rc\n"
         "print(sorted(n for n in sys.modules\n"
         "             if n.split('.')[0] in ('scipy', 'numba')\n"
-        "             or n.startswith('concurrent.futures')))\n"
+        "             or n.startswith(('concurrent.futures',\n"
+        "                              'importlib.metadata'))))\n"
     )
     # the child imports the same copy of the package as this process
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(scalereg.__file__)))
@@ -586,5 +592,6 @@ def test_rate_run_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          cwd=tmp_path, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "[]"
-    doc = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert doc["versions"]["scipy"] == pytest.importorskip("scipy").__version__
+    for run in ("out", "bounds"):
+        doc = json.loads((tmp_path / run / "manifest.json").read_text())
+        assert set(doc["versions"]) == {"python", "numpy", "scalereg"}

@@ -13,6 +13,7 @@ from scalereg import (
     distance_fn_q,
     r_of_lambda,
 )
+from scalereg.distance import _solve_mu
 from scalereg.model import build_power_problem
 
 
@@ -142,6 +143,15 @@ def test_distance_refusals():
             distance_fn_q(prob, 2.0, R)
     with pytest.raises(ValueError, match="q must"):
         distance_fn_q(prob, 1.0, 1.0)
+
+
+def test_solve_mu_refuses_what_it_cannot_bracket_or_converge():
+    # a norm that stays above R never brackets the root
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        _solve_mu(lambda mu: 2.0, 1.0)
+    # a norm that jumps across R has no root for the bisection to reach
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _solve_mu(lambda mu: 2.0 if mu < 0.5 else 0.0, 1.0)
 
 
 def test_r_of_lambda_regimes():

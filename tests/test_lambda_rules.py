@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalereg.lambda_rules as lambda_rules
 from scalereg import (
     LambdaRule,
     RULE_NAMES,
@@ -47,6 +48,14 @@ def test_balance_residual_property(m, decay):
     if lam < 1.0:
         n = effdim(t, lam)
         assert abs(n - m * lam) <= 1e-7 * m * lam
+
+
+def test_balance_refuses_a_root_with_a_large_residual(monkeypatch):
+    # an N(lambda) that steps over m lambda leaves no root to bisect to
+    monkeypatch.setattr(lambda_rules, "effdim",
+                        lambda spectrum, lam: 2.0 if lam < 0.5 else 0.0)
+    with pytest.raises(RuntimeError, match="residual above tolerance"):
+        lambda_balance_effdim([1.0], 1)
 
 
 def test_balance_general_matches_effdim_balance_at_r_one():

@@ -58,5 +58,21 @@ def test_indefinite_kernel_rejected(monkeypatch):
         mercer_decompose("k1", 64)
 
 
+def test_nonpositive_kernel_rejected(monkeypatch):
+    monkeypatch.setitem(mercer._NAMED, "k1", lambda x, xp: -np.eye(x.size))
+    with pytest.raises(ValueError, match="^kernel is not positive"):
+        mercer_decompose("k1", 64)
+
+
+def test_asymmetric_kernel_fails_reconstruction(monkeypatch):
+    # eigh reads only the lower triangle, which here is the identity
+    def upper_ones(x, xp):
+        return np.eye(x.size) + np.triu(np.ones((x.size, xp.size)), 1)
+
+    monkeypatch.setitem(mercer._NAMED, "k1", upper_ones)
+    with pytest.raises(RuntimeError, match="Nystrom reconstruction"):
+        mercer_decompose("k1", 64)
+
+
 def test_k2_note_mentions_the_variable_convention():
     assert "typo" in K2_NOTE and "x*x'" in K2_NOTE

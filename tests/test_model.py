@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from scalereg import (
+    Dataset,
+    DistanceCurve,
+    DistanceResult,
+    EffDimCurve,
+    Estimate,
     NoiseModel,
     PowerProblemSpec,
     SpectralProblem,
@@ -332,3 +337,23 @@ def test_noise_model_constants():
 def test_smoothness_spec_b_is_link_over_scale():
     spec = PowerProblemSpec(s=0.5, a_link=0.25, r=2.0, q=4.0)
     assert spec.b == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_power_problem(s=1.0, a_link=0.5, r=0.5, q=1.0,
+                                R_dagger=1.0, d=4, sigma=0.1),
+    lambda: Dataset(x=np.zeros(2), y=np.zeros(2)),
+    lambda: Estimate(f_hat=np.zeros(2), u_hat=np.zeros(2)),
+    lambda: EffDimCurve(lambdas=np.ones(2), values=np.ones(2)),
+    lambda: DistanceResult(d_value=0.0, minimizer_v=np.zeros(2), mu=0.0),
+    lambda: DistanceCurve(Rs=np.ones(2), values=np.ones(2)),
+], ids=["SpectralProblem", "Dataset", "Estimate", "EffDimCurve",
+        "DistanceResult", "DistanceCurve"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # field-wise == on ndarray fields would raise on its ambiguous truth
+    # value, and hash would raise on the unhashable arrays
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
+    hash(a)
+    assert len({a, b}) == 2

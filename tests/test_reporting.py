@@ -26,13 +26,16 @@ def test_canonical_json_is_sorted_compact_and_newline_terminated():
 
 
 def test_canonical_json_handles_numpy_and_nonfinite():
-    doc = {"arr": np.array([1.0, 2.0]), "bad": float("nan"),
-           "inf": float("inf"), "flag": np.bool_(True),
-           "count": np.int64(3)}
-    text = canonical_json(doc)
-    back = json.loads(text)
-    assert back == {"arr": [1.0, 2.0], "bad": None, "inf": None,
-                    "flag": True, "count": 3}
+    # a numpy float64 is a float and is written as one; every other
+    # numpy value is converted by the to_dict that makes the document
+    doc = {"x": np.float64(1.5), "bad": np.float64("nan"),
+           "inf": float("inf"), "pair": (1, 2.0), "flag": True}
+    back = json.loads(canonical_json(doc))
+    assert back == {"x": 1.5, "bad": None, "inf": None, "pair": [1, 2.0],
+                    "flag": True}
+    for val in (np.array([1.0, 2.0]), np.int64(3), np.bool_(True)):
+        with pytest.raises(TypeError):
+            canonical_json({"v": val})
 
 
 def test_json_round_trip(tmp_path):
@@ -111,7 +114,7 @@ def test_manifest_contents(tmp_path):
     assert man["seed"] == 7
     assert "backend" not in man  # one numeric backend, nothing to record
     vers = man["versions"]
-    assert set(vers) >= {"python", "numpy", "scipy", "scalereg"}
+    assert set(vers) == {"python", "numpy", "scalereg"}
     assert "timestamp" not in man  # byte-reproducible outputs
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     write_manifest(p1, doc, seed=7)
